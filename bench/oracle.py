@@ -255,12 +255,11 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", required=True, help="corpus directory to write")
-    parser.add_argument("--label", help="manifest directory as fuse will be given it (default: --out)")
     args = parser.parse_args(argv)
     out = Path(args.out)
     record = generate(args.seed, args.pairs, out)
     (out / "record.json").write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
-    write_plan(out, record, args.label or args.out)
+    write_plan(out, record, args.out)
     os.replace(out / (PLAN_NAME + ".tmp"), out / PLAN_NAME)
 
 

@@ -13,10 +13,9 @@ Workloads, each a closed loop with one client:
 ``query-mix``
     One parse_query + run_query per op in a fixed cyclic mix of all five
     commands plus compute_stats and suggest_roles, on a larger corpus
-    loaded once.
-``export``
-    One op serializes the loaded corpus and writes the files, the same
-    steps as ``fuse export``.
+    loaded once; each cycle of the mix ends with one export op, which
+    serializes the loaded corpus and writes the files, the same steps as
+    ``fuse export``.
 
 Inputs come from gen.py in a child process, seeded by ``--seed``; expected
 outputs come from oracle.py in that child, so generator and oracle data stay
@@ -51,7 +50,7 @@ WORK = BENCH / ".work"
 sys.path.insert(0, str(BENCH))
 sys.path.insert(0, str(SRC))
 
-from layers import NullTracer, Tracer, child_env, import_ms, load_layers  # noqa: E402
+from layers import NullTracer, Tracer, child_env, import_ms, load_layers, load_parts  # noqa: E402
 from oracle import PLAN_NAME, digest, size  # noqa: E402
 
 # Corpus sizes (sentence pairs) per workload. cli-validate cycles through
@@ -62,10 +61,9 @@ from oracle import PLAN_NAME, digest, size  # noqa: E402
 # phase. Its set-up and traced run use the first, middle-sized one.
 PAIRS = {
     "cli-validate": (120, 40, 180, 80, 200, 60, 140, 100, 160),
-    "query-mix": (2000,),
-    "export": (1000,),
+    "query-mix": (1000,),
 }
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 MIN_OPS = 110  # a run keeps going past --seconds until it has this many ops
 KEEP_RUNS = 4  # generated inputs of this many recent workload/seed pairs stay cached
 TRACE_QUERY_ROUNDS = 6
@@ -91,7 +89,7 @@ def prepare(workload: str, seed: int) -> list[tuple[Path, dict]]:
         if not (ROOT / rel / PLAN_NAME).exists():
             subprocess.run(
                 [sys.executable, str(BENCH / "oracle.py"), "--seed", str(seed),
-                 "--pairs", str(pairs), "--out", str(rel), "--label", rel.as_posix()],
+                 "--pairs", str(pairs), "--out", rel.as_posix()],
                 cwd=ROOT, check=True, timeout=120,
             )
         corpora.append((rel, json.loads((ROOT / rel / PLAN_NAME).read_text(encoding="utf-8"))))
@@ -198,6 +196,7 @@ def run_cli_validate(seed: int, seconds: float, tr_for_round) -> Run:
     run = Run()
 
     def one(n, tr):
+        tr.begin_op("v")
         rel, plan = corpora[n % len(corpora)]
         elapsed, code, stdout, stderr, rss = launcher.validate((rel / plan["manifest"]).as_posix(), tr)
         run.peak_rss_mb = max(run.peak_rss_mb, rss)
@@ -293,18 +292,42 @@ def query_round(corpus, plan, run: Run, n: int, tr) -> None:
         run.record(elapsed, ok, f"{op}: got {rows} rows, expected {op['rows']}")
 
 
+def ends_cycle(plan, n: int) -> bool:
+    """Whether round n is the last of a cycle of the mix, which ends with an export."""
+    return n % len(plan["rounds"]) == len(plan["rounds"]) - 1
+
+
 def run_query_mix(seed: int, seconds: float, tr_for_round, plan=None) -> Run:
     [(rel, fresh_plan)] = prepare("query-mix", seed)
     plan = plan or fresh_plan
     run = Run()
     corpus = setup_corpus(rel, plan, run)
-    timed_loop(run, seconds, lambda n: query_round(corpus, plan, run, n, tr_for_round(n)))
-    run.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    manifest = read_manifest(rel, plan)
+    out_dir = WORK / f"export-{os.getpid()}"
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def one_round(n: int, run: Run, tr) -> None:
+        query_round(corpus, plan, run, n, tr)
+        if ends_cycle(plan, n):
+            export_round(corpus, manifest, plan, out_dir, run, tr)
+
+    try:
+        for n in range(len(plan["rounds"])):  # one untimed cycle to warm up
+            one_round(n, Run(), NullTracer())
+        timed_loop(run, seconds, lambda n: one_round(n, run, tr_for_round(n)))
+        run.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        from fusetb import load_corpus
+
+        reloaded, _ = load_corpus(out_dir / plan["manifest"])
+        if reloaded != corpus:
+            run.problems.append("reloading the exported files gives a different corpus")
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
     return run
 
 
 # ---------------------------------------------------------------------------
-# export
+# export, one op of each query-mix cycle
 
 
 def export_op(corpus, manifest, manifest_name: str, out_dir: Path, tr):
@@ -353,7 +376,7 @@ def read_manifest(rel: Path, plan: dict):
     return parse_manifest(path.read_text(encoding="utf-8"), str(path))
 
 
-def export_round(corpus, manifest, plan, out_dir: Path, run: Run, n: int, tr) -> int:
+def export_round(corpus, manifest, plan, out_dir: Path, run: Run, tr) -> int:
     tr.begin_op("e")
     elapsed, written = export_op(corpus, manifest, plan["manifest"], out_dir, tr)
     wrong = [name for name, want in plan["files"].items()
@@ -362,29 +385,7 @@ def export_round(corpus, manifest, plan, out_dir: Path, run: Run, n: int, tr) ->
     return written
 
 
-def run_export(seed: int, seconds: float, tr_for_round, plan=None) -> Run:
-    [(rel, fresh_plan)] = prepare("export", seed)
-    plan = plan or fresh_plan
-    run = Run()
-    corpus = setup_corpus(rel, plan, run)
-    manifest = read_manifest(rel, plan)
-    out_dir = WORK / f"export-{os.getpid()}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        timed_loop(run, seconds,
-                   lambda n: export_round(corpus, manifest, plan, out_dir, run, n, tr_for_round(n)))
-        run.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        from fusetb import load_corpus
-
-        reloaded, _ = load_corpus(out_dir / plan["manifest"])
-        if reloaded != corpus:
-            run.problems.append("reloading the exported files gives a different corpus")
-    finally:
-        shutil.rmtree(out_dir, ignore_errors=True)
-    return run
-
-
-WORKLOADS = {"cli-validate": run_cli_validate, "query-mix": run_query_mix, "export": run_export}
+WORKLOADS = {"cli-validate": run_cli_validate, "query-mix": run_query_mix}
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +407,60 @@ def end_to_end(run: Run) -> dict:
     }
 
 
+def small_corpus_ms(seed: int, repeats: int = 31) -> tuple[float, float]:
+    """cli.overhead_ms and corpus.self_ms, from the smallest (40-pair) cli-validate corpus.
+
+    cli.overhead_ms is one `fuse validate` process minus an in-process
+    load_corpus of the same files; corpus.self_ms is that load_corpus minus
+    the sum of its steps run one by one (load_parts). Both are measured on
+    the small corpus whatever the workload: on a large corpus each side
+    takes seconds, and host noise of a few percent swamps a difference of a
+    few percent. Each repeat runs the process, the load and the step-by-step
+    load back to back, so all three see the same host phase, with the two
+    loads in alternating order; each metric is the median of the
+    per-repeat differences.
+    """
+    from fusetb import load_corpus
+
+    rel, plan = prepare("cli-validate", seed)[PAIRS["cli-validate"].index(40)]
+    manifest = rel / plan["manifest"]
+
+    def load_s() -> float:
+        gc.collect()
+        start = time.perf_counter()
+        load_corpus(manifest)
+        return time.perf_counter() - start
+
+    def parts_s() -> float:
+        gc.collect()
+        parts = Tracer()
+        load_parts(manifest, parts)
+        return sum(end - start for _, start, end, _, _ in parts.spans)
+
+    overheads, selfs = [], []
+    with Launcher() as launcher:
+        for i in range(repeats):
+            process = launcher.validate(manifest.as_posix(), NullTracer())[0]
+            if i % 2:
+                load, parts = load_s(), parts_s()
+            else:
+                parts, load = parts_s(), load_s()
+            overheads.append(process - load)
+            selfs.append(load - parts)
+    return statistics.median(overheads) * 1e3, statistics.median(selfs) * 1e3
+
+
 def traced(workload: str, seed: int, seconds: float) -> tuple[Run, dict]:
-    """Per-layer metrics: a step-by-step load, query and export passes with
-    spans, `fuse validate` processes paired with in-process loads, then the
+    """Per-layer metrics: `fuse validate` processes paired with in-process
+    loads, a step-by-step load, query and export passes with spans, then the
     workload's own loop alternating traced and untraced rounds to measure
     the tracing overhead."""
     tr = Tracer()
     null = NullTracer()
     metrics = {"cli.import_ms": import_ms()}
+    metrics["cli.overhead_ms"], metrics["corpus.self_ms"] = small_corpus_ms(seed)
     rel, plan = prepare(workload, seed)[0]
-    manifest = rel / plan["manifest"]
-    corpus_metrics, corpus, same = load_layers(ROOT / manifest, tr)
+    corpus_metrics, corpus, same = load_layers(ROOT / rel / plan["manifest"], tr)
     metrics.update(corpus_metrics)
 
     layer_run = Run()
@@ -426,25 +470,11 @@ def traced(workload: str, seed: int, seconds: float) -> tuple[Run, dict]:
     out_dir = WORK / f"export-{os.getpid()}"
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        written = [export_round(corpus, export_manifest, plan, out_dir, layer_run, n, tr)
-                   for n in range(TRACE_EXPORT_OPS)]
+        written = [export_round(corpus, export_manifest, plan, out_dir, layer_run, tr)
+                   for _ in range(TRACE_EXPORT_OPS)]
     finally:
         shutil.rmtree(out_dir, ignore_errors=True)
     corpus = None
-
-    # Each process is paired with an in-process load right after it, so both
-    # sides of a difference see the same host phase.
-    from fusetb import load_corpus
-
-    differences = []
-    with Launcher() as launcher:
-        for _ in range(3):
-            process_s = launcher.validate(manifest.as_posix(), null)[0]
-            gc.collect()
-            start = time.perf_counter()
-            load_corpus(manifest)
-            differences.append(process_s - (time.perf_counter() - start))
-    metrics["cli.overhead_ms"] = statistics.median(differences) * 1e3
 
     overhead_run = WORKLOADS[workload](seed, seconds, lambda n: tr if n % 2 else null)
     split = ([], [])

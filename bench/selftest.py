@@ -1,10 +1,11 @@
 """Shows that the benchmark's checks catch wrong answers.
 
-Plants one wrong row in the expected result of one query of the mix and
-one wrong byte in the expected ``en.tb`` of the export, runs the two
-workloads against those expectations and requires that exactly the ops
-touching the planted fault are counted as failed, while the same runs
-against the true expectations fail none. Exits 0 when all of that holds.
+Plants one wrong row in the expected result of one query of the mix, and
+apart from it one wrong byte in the expected ``en.tb`` of the export that
+ends each cycle, runs the query-mix workload against those expectations and
+requires that exactly the ops touching the planted fault are counted as
+failed, while the same run against the true expectations fails none.
+Exits 0 when all of that holds.
 
     python3 bench/selftest.py [--seed 1]
 """
@@ -27,8 +28,8 @@ from oracle import digest, query_rows  # noqa: E402
 SECONDS = 2.0
 
 
-def plant_row(workload: str, seed: int) -> tuple[dict, str]:
-    [(rel, plan)] = bench.prepare(workload, seed)
+def plant_row(seed: int) -> tuple[dict, str]:
+    [(rel, plan)] = bench.prepare("query-mix", seed)
     record = json.loads((bench.ROOT / rel / "record.json").read_text(encoding="utf-8"))
     op = next(op for op in plan["rounds"][0] if op["kind"] == "query" and op["rows"])
     rows = query_rows(record, op["text"])
@@ -38,8 +39,8 @@ def plant_row(workload: str, seed: int) -> tuple[dict, str]:
     return tampered, op["text"]
 
 
-def plant_byte(workload: str, seed: int) -> dict:
-    [(rel, plan)] = bench.prepare(workload, seed)
+def plant_byte(seed: int) -> dict:
+    [(rel, plan)] = bench.prepare("query-mix", seed)
     data = bytearray((bench.ROOT / rel / "en.tb").read_bytes())
     data[len(data) // 2] ^= 1
     tampered = copy.deepcopy(plan)
@@ -55,24 +56,23 @@ def main(argv=None) -> int:
     null = lambda n: NullTracer()  # noqa: E731
     ok = True
 
-    tampered, text = plant_row("query-mix", seed)
-    for label, plan in (("true", None), ("one wrong row", tampered)):
+    row_plan, text = plant_row(seed)
+    byte_plan = plant_byte(seed)
+    for label, plan in (("true", None), ("one wrong row", row_plan), ("one wrong byte", byte_plan)):
         run = bench.run_query_mix(seed, SECONDS, null, plan)
-        rounds = run.attempted // len(tampered["rounds"][0])
-        want = 0 if plan is None else (rounds + len(tampered["rounds"]) - 1) // len(tampered["rounds"])
-        hit = run.failed == want and all(text in f for f in run.failures)
+        cycle = len(row_plan["rounds"])
+        rounds = len(run.round_ends)
+        if plan is row_plan:  # the tampered query is in the first round of each cycle
+            want, where = (rounds + cycle - 1) // cycle, text
+        elif plan is byte_plan:  # the last round of each cycle ends with an export
+            want, where = rounds // cycle, "en.tb"
+        else:
+            want, where = 0, ""
+        hit = run.failed == want and all(where in f for f in run.failures)
         ok &= hit and not run.problems
         print(f"query-mix, {label} expectations: attempted={run.attempted} failed={run.failed}"
-              f" (expected {want}, every run of {text!r}) -> {'ok' if hit else 'MISSED'}")
-
-    tampered = plant_byte("export", seed)
-    for label, plan in (("true", None), ("one wrong byte", tampered)):
-        run = bench.run_export(seed, SECONDS, null, plan)
-        want = 0 if plan is None else run.attempted
-        hit = run.failed == want and all("en.tb" in f for f in run.failures)
-        ok &= hit and not run.problems
-        print(f"export, {label} expectations: attempted={run.attempted} failed={run.failed}"
-              f" (expected {want}) -> {'ok' if hit else 'MISSED'}")
+              f" (expected {want}{f', every op touching {where!r}' if where else ''})"
+              f" -> {'ok' if hit else 'MISSED'}")
     print("self-test passed" if ok else "self-test FAILED")
     return 0 if ok else 1
 
