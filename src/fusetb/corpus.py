@@ -360,7 +360,6 @@ def compute_stats(corpus: ParallelCorpus) -> CorpusStats:
         pred_tags: dict[str, int] = {}
         arg_tags: dict[str, int] = {}
         n_pred = n_arg = 0
-        aligned: set[tuple[str, object]] = set()
         for pair in pair_set.pairs:
             for a in pair.alignments:
                 counts = pred_tags if a.kind == "pred" else arg_tags
@@ -370,8 +369,6 @@ def compute_stats(corpus: ParallelCorpus) -> CorpusStats:
                     n_arg += 1
                 if a.tag is not None:
                     counts[a.tag] = counts.get(a.tag, 0) + 1
-                aligned.add((pair.left_sentence, a.left))
-                aligned.add((pair.right_sentence, a.right))
         unaligned_preds = {pair_set.left_lang: 0, pair_set.right_lang: 0}
         unaligned_args = {pair_set.left_lang: 0, pair_set.right_lang: 0}
         seen_keys = set()
@@ -383,9 +380,9 @@ def compute_stats(corpus: ParallelCorpus) -> CorpusStats:
                 if key in seen_keys or not corpus.has_sentence(key):
                     continue
                 seen_keys.add(key)
-                ann = corpus.sentence(key)
-                for ref in ann.element_refs():
-                    if (key, ref) not in aligned:
+                aligned = pair_set.aligned.get(key, frozenset())
+                for ref in corpus.sentence(key).element_refs():
+                    if ref not in aligned:
                         if ref.is_predicate:
                             unaligned_preds[lang] += 1
                         else:

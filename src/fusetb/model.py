@@ -10,7 +10,11 @@ alignment layer of tagged predicate/argument links.
 All objects are immutable; loaders normalize collection order at
 construction so that structurally equal annotations compare equal
 regardless of source file order (token order excepted, which is
-meaningful). Read operations are safe to share across threads.
+meaningful). The small value types use slots. Derived indexes (lookup
+tables, element refs, the per-pair-set alignment index) take no part in
+equality, repr or `dataclasses.replace`; the alignment indexes are built
+on first read. Building one twice gives equal results, so a loaded corpus
+is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 PRED_CLASSES = ("v", "n", "a")
 
@@ -52,7 +59,7 @@ def is_pred_id(text: str) -> bool:
     return bool(_PRED_ID_RE.match(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRef:
     """Reference to a tree node: kind 't' + surface index, or 'n' + nonterminal id."""
 
@@ -83,7 +90,7 @@ class NodeRef:
         return f"{self.kind}{self.num}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElemRef:
     """Reference to a predicate (pred_id) or one of its arguments (pred_id + role)."""
 
@@ -113,7 +120,7 @@ class ElemRef:
         return self.pred_id if self.role is None else f"{self.pred_id}.{self.role}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """A terminal: 1-based surface index, word form, POS label, edge to parent."""
 
@@ -124,7 +131,7 @@ class Token:
     parent: int = VIRTUAL_ROOT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonTerminal:
     """A constituent node (id >= 500) with category, edge label and parent id."""
 
@@ -230,7 +237,7 @@ def is_ancestor(tree: SentenceTree, ancestor: NodeRef, descendant: NodeRef) -> b
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Predicate:
     pred_id: str
     lemma: str
@@ -238,13 +245,13 @@ class Predicate:
     group: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Argument:
     pred_id: str
     role: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binding:
     """Attachment of one predicate/argument to tree nodes.
 
@@ -301,6 +308,7 @@ class MonolingualAnnotation:
     _preds: dict = field(init=False, repr=False, compare=False)
     _args: dict = field(init=False, repr=False, compare=False)
     _bindings: dict = field(init=False, repr=False, compare=False)
+    _refs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         preds = tuple(sorted(self.predicates, key=lambda p: p.pred_id))
@@ -315,6 +323,9 @@ class MonolingualAnnotation:
         for b in binds:
             by_target.setdefault(b.target, []).append(b)
         object.__setattr__(self, "_bindings", by_target)
+        refs = [ElemRef(p.pred_id) for p in preds]
+        refs.extend(ElemRef(a.pred_id, a.role) for a in args)
+        object.__setattr__(self, "_refs", tuple(refs))
 
     @property
     def sentence_id(self) -> str:
@@ -336,11 +347,9 @@ class MonolingualAnnotation:
                 return arg
         raise ResolutionError(f"sentence {self.sentence_id}: unknown element {ref}")
 
-    def element_refs(self):
-        for pred in self.predicates:
-            yield ElemRef(pred.pred_id)
-        for arg in self.arguments:
-            yield ElemRef(arg.pred_id, arg.role)
+    def element_refs(self) -> tuple[ElemRef, ...]:
+        """Every declared element: predicates first, then arguments, each sorted."""
+        return self._refs
 
     def bindings_for(self, ref: ElemRef) -> tuple[Binding, ...]:
         return tuple(self._bindings.get(ref, ()))
@@ -366,7 +375,7 @@ def element_of(annotation: MonolingualAnnotation, ref: ElemRef | str) -> Predica
     return annotation.element(ref)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alignment:
     """Cross-lingual link between two predicates or two arguments."""
 
@@ -406,6 +415,19 @@ class PairSet:
             sorted(self.pairs, key=lambda p: (p.left_sentence, p.right_sentence))
         )
         object.__setattr__(self, "pairs", ordered)
+
+    @cached_property
+    def aligned(self) -> Mapping[str, frozenset[ElemRef]]:
+        """Sentence key -> the elements of that sentence aligned in this set.
+
+        Built on first read; sentences with no alignment in the set are absent.
+        """
+        found: dict[str, set[ElemRef]] = {}
+        for pair in self.pairs:
+            for a in pair.alignments:
+                found.setdefault(pair.left_sentence, set()).add(a.left)
+                found.setdefault(pair.right_sentence, set()).add(a.right)
+        return MappingProxyType({key: frozenset(refs) for key, refs in found.items()})
 
 
 @dataclass(frozen=True)
@@ -472,3 +494,12 @@ class ParallelCorpus:
         if lang not in self.treebanks:
             raise ResolutionError(f"unknown language {lang!r}")
         return self.treebanks[lang]
+
+    @cached_property
+    def aligned(self) -> Mapping[str, frozenset[ElemRef]]:
+        """Sentence key -> the elements of that sentence aligned in any pair set."""
+        found: dict[str, frozenset[ElemRef]] = {}
+        for pair_set in self.pair_sets:
+            for key, refs in pair_set.aligned.items():
+                found[key] = found[key] | refs if key in found else refs
+        return MappingProxyType(found)

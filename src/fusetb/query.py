@@ -265,24 +265,14 @@ def _run_aligns(corpus, filters):
     return rows
 
 
-def _aligned_elements(corpus: ParallelCorpus) -> set[tuple[str, ElemRef]]:
-    aligned = set()
-    for pair_set in corpus.pair_sets:
-        for pair in pair_set.pairs:
-            for a in pair.alignments:
-                aligned.add((pair.left_sentence, a.left))
-                aligned.add((pair.right_sentence, a.right))
-    return aligned
-
-
 def _run_unaligned(corpus, filters):
-    aligned = _aligned_elements(corpus)
+    index = corpus.aligned
     rows = []
     for lang in corpus.languages:
         for ann in corpus.treebanks[lang]:
-            key = f"{lang}:{ann.sentence_id}"
+            aligned = index.get(f"{lang}:{ann.sentence_id}", frozenset())
             for ref in ann.element_refs():
-                if (key, ref) in aligned:
+                if ref in aligned:
                     continue
                 kind = "pred" if ref.is_predicate else "arg"
                 attrs = {"kind": kind, "lang": lang}

@@ -167,6 +167,13 @@ def validate_monolingual(
     annotation: MonolingualAnnotation, file: str = "<memory>"
 ) -> list[Diagnostic]:
     """All single-sentence checks; one diagnostic per violation."""
+    diags = _sentence_diags(annotation, file)
+    diags.extend(_near_dup_diags(_group_roles([annotation]), file))
+    return _sorted_unique(diags)
+
+
+def _sentence_diags(annotation: MonolingualAnnotation, file: str) -> list[Diagnostic]:
+    """validate_monolingual without the role scan, which check_group_roles covers."""
     diags: list[Diagnostic] = []
     sid = annotation.sentence_id
     for ref in annotation.element_refs():
@@ -207,8 +214,7 @@ def validate_monolingual(
                     f" predicate's yield at tokens {overlap}",
                 )
             )
-    diags.extend(_near_dup_diags(_group_roles([annotation]), file))
-    return _sorted_unique(diags)
+    return diags
 
 
 def _clean_yield(ann: MonolingualAnnotation, ref: ElemRef) -> list[int] | None:
@@ -311,7 +317,7 @@ def validate_corpus(
     for lang in corpus.languages:
         label = lang_files.get(lang, f"<{lang}>")
         for ann in corpus.treebanks[lang]:
-            diags.extend(validate_monolingual(ann, file=label))
+            diags.extend(_sentence_diags(ann, label))
         diags.extend(check_group_roles(corpus.treebanks[lang], file=label))
     for pair_set in corpus.pair_sets:
         label = pair_files.get(

@@ -324,3 +324,31 @@ def oracle_stats_recount(corpus: ParallelCorpus):
                     tags[tag] = tags.get(tag, 0) + 1
         out[lang] = (sentences, tokens, predicates, arguments, by_class, tags)
     return out
+
+
+def oracle_unaligned_counts(corpus: ParallelCorpus, pair_set):
+    """Per-language (unaligned predicates, unaligned arguments) of one pair set.
+
+    Counts every element of each sentence that occurs in the set's pairs and
+    is an endpoint of no alignment in that set, by scanning the raw records.
+    """
+    endpoints = []
+    for pair in pair_set.pairs:
+        for a in pair.alignments:
+            endpoints.append((pair.left_sentence, a.left.pred_id, a.left.role))
+            endpoints.append((pair.right_sentence, a.right.pred_id, a.right.role))
+    preds = {pair_set.left_lang: 0, pair_set.right_lang: 0}
+    args = {pair_set.left_lang: 0, pair_set.right_lang: 0}
+    keys = {p.left_sentence for p in pair_set.pairs} | {p.right_sentence for p in pair_set.pairs}
+    for key in sorted(keys):
+        lang = key.partition(":")[0]
+        if not corpus.has_sentence(key):
+            continue
+        ann = corpus.sentence(key)
+        for p in ann.predicates:
+            if (key, p.pred_id, None) not in endpoints:
+                preds[lang] += 1
+        for a in ann.arguments:
+            if (key, a.pred_id, a.role) not in endpoints:
+                args[lang] += 1
+    return preds, args

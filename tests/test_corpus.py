@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import shutil
 
@@ -14,10 +15,12 @@ from fusetb.corpus import (
 )
 from fusetb.formats import ParseError
 from fusetb.model import DEFAULT_ALIGNMENT_TAGS, DEFAULT_BINDING_TAGS
+from fusetb.query import parse_query, run_query
+from fusetb.suggest import suggest_roles
 
 from .conftest import FIXTURES, mutate_file
 from .generators import random_corpus, write_corpus_files
-from .oracles import oracle_stats_recount
+from .oracles import oracle_stats_recount, oracle_unaligned, oracle_unaligned_counts
 
 
 def manifest_error_code(text):
@@ -122,6 +125,64 @@ def test_three_languages_two_pair_sets(corpus_copy):
     assert corpus.pair_sets[1].pairs == ()
 
 
+def test_unaligned_is_the_union_over_pair_sets(corpus_copy):
+    # fr is a copy of en; en-fr aligns only en:s1 p1 and en:s5 p2, so
+    # en:s1 p1.ENT_HARMONISED is aligned in en-de but not in en-fr, and
+    # en:s5 p2 is aligned in en-fr but not in en-de
+    (corpus_copy / "en-fr.al").write_text(
+        "#PAIR en:s1 fr:s1\nPALIGN p1 p1\n#PAIR en:s5 fr:s5\nPALIGN p2 p2\n",
+        encoding="utf-8",
+    )
+    text = (corpus_copy / "corpus.manifest").read_text(encoding="utf-8")
+    (corpus_copy / "corpus.manifest").write_text(
+        text + "LANG fr TREES en.tb PREDARG en.pa\nALIGN en fr en-fr.al\n",
+        encoding="utf-8",
+    )
+    corpus, diags = load_corpus(corpus_copy / "corpus.manifest")
+    assert corpus is not None, [d.render() for d in diags]
+    unaligned_en = [
+        (row["sent"], row["ref"])
+        for kind in ("pred", "arg")
+        for row in run_query(corpus, parse_query(f"unaligned kind={kind} lang=en"))
+    ]
+    assert ("s1", "p1.ENT_HARMONISED") not in unaligned_en
+    assert ("s5", "p2") not in unaligned_en
+    assert ("s5", "p1") in unaligned_en
+    for kind in ("pred", "arg"):
+        got = run_query(corpus, parse_query(f"unaligned kind={kind}"))
+        expected = oracle_unaligned(corpus, parse_query(f"unaligned kind={kind}").filters)
+        assert [(r["lang"], r["sent"], r["ref"]) for r in got] == expected
+    en_de, en_fr = compute_stats(corpus).pair_sets
+    assert en_de.unaligned_predicates == {"en": 0, "de": 1}
+    assert en_de.unaligned_arguments == {"en": 0, "de": 2}
+    # en-fr counts en:s1 p1.ENT_HARMONISED and the four arguments of en:s5
+    assert en_fr.unaligned_predicates == {"en": 1, "fr": 1}
+    assert en_fr.unaligned_arguments == {"en": 5, "fr": 5}
+    assert (en_fr.unaligned_predicates, en_fr.unaligned_arguments) == oracle_unaligned_counts(
+        corpus, corpus.pair_sets[1]
+    )
+
+
+def test_derived_indexes_leave_identity_unchanged():
+    corpus, _ = load_corpus(FIXTURES / "corpus.manifest")
+    before = repr(corpus)
+    for text in (
+        "preds",
+        "aligns",
+        "unaligned kind=pred",
+        "unaligned kind=arg",
+        "realizations group=GIVE role=GIVER",
+        "frames group=GIVE",
+    ):
+        run_query(corpus, parse_query(text))
+    compute_stats(corpus)
+    suggest_roles(corpus, "en", "GIVE")
+    assert repr(corpus) == before
+    fresh, _ = load_corpus(FIXTURES / "corpus.manifest")
+    assert corpus == fresh
+    assert dataclasses.replace(corpus, validated=False) == corpus
+
+
 def test_parse_failure_skips_semantic_validation(corpus_copy):
     # corrupt en.tb and remove a binding: only the parse error is reported
     mutate_file(corpus_copy, "en.tb", "#EOS s5", "#EOS s9")
@@ -195,6 +256,9 @@ def test_stats_match_flat_recount_on_random_corpora():
             if a.kind == "pred"
         )
         assert ps.pred_alignments == n_pred
+        assert (ps.unaligned_predicates, ps.unaligned_arguments) == oracle_unaligned_counts(
+            corpus, corpus.pair_sets[0]
+        )
 
 
 def test_stats_invariant_under_manifest_order(corpus_copy):

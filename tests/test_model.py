@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from fusetb.model import (
+    Alignment,
     Argument,
     Binding,
     ElemRef,
@@ -12,8 +14,10 @@ from fusetb.model import (
     MonolingualAnnotation,
     NodeRef,
     NonTerminal,
+    PairSet,
     Predicate,
     ResolutionError,
+    SentencePairAlignment,
     SentenceTree,
     Token,
     element_of,
@@ -149,6 +153,57 @@ def test_annotation_equality_is_order_insensitive(tree):
     a = MonolingualAnnotation(tree, preds, args, binds)
     b = MonolingualAnnotation(tree, preds[::-1], args[::-1], binds[::-1])
     assert a == b
+
+
+def test_element_refs_list_predicates_then_arguments(tree):
+    ann = MonolingualAnnotation(
+        tree,
+        (Predicate("p2", "SEHEN", "v", "SEHEN"), Predicate("p1", "GEBEN", "v", "GEBEN")),
+        (Argument("p1", "THEME"), Argument("p1", "AGENT")),
+    )
+    assert ann.element_refs() == (
+        ElemRef("p1"), ElemRef("p2"), ElemRef("p1", "AGENT"), ElemRef("p1", "THEME")
+    )
+
+
+def test_value_types_have_no_instance_dict(tree):
+    binding = Binding(ElemRef("p1"), frozenset({NodeRef.parse("t1")}))
+    alignment = Alignment("pred", ElemRef("p1"), ElemRef("p1"))
+    for value in (
+        NodeRef.parse("t1"), ElemRef("p1"), tree.tokens[0], tree.nonterminals[0],
+        Predicate("p1", "GEBEN", "v", "GEBEN"), Argument("p1", "AGENT"), binding, alignment,
+    ):
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
+
+
+def test_pair_set_alignment_index():
+    pair_set = PairSet(
+        "en",
+        "de",
+        (
+            SentencePairAlignment(
+                "en:s1",
+                "de:s1",
+                (
+                    Alignment("pred", ElemRef("p1"), ElemRef("p2")),
+                    Alignment("arg", ElemRef("p1", "AGENT"), ElemRef("p2", "GEBER")),
+                ),
+            ),
+            SentencePairAlignment("en:s2", "de:s2"),
+        ),
+    )
+    before = repr(pair_set)
+    assert dict(pair_set.aligned) == {
+        "en:s1": frozenset({ElemRef("p1"), ElemRef("p1", "AGENT")}),
+        "de:s1": frozenset({ElemRef("p2"), ElemRef("p2", "GEBER")}),
+    }
+    assert pair_set.aligned is pair_set.aligned
+    with pytest.raises(TypeError):
+        pair_set.aligned["en:s2"] = frozenset()
+    assert repr(pair_set) == before
+    assert pair_set == dataclasses.replace(pair_set)
 
 
 def test_node_ref_parse_and_str():

@@ -174,6 +174,22 @@ def test_role_near_duplicate_warning():
     assert check_group_roles([ann]) == diags
 
 
+def test_corpus_reports_near_duplicate_roles_within_one_sentence():
+    preds = (P1, Predicate("p2", "GABE", "n", "GEBEN"))
+    args = (Argument("p1", "ENT_HARMONISED"), Argument("p2", "ENT_HARMONIZED"))
+    binds = (
+        Binding(ElemRef("p1"), frozenset({ref("t4")})),
+        Binding(ElemRef("p1", "ENT_HARMONISED"), frozenset({ref("t1")})),
+        Binding(ElemRef("p2"), frozenset({ref("t2")})),
+        Binding(ElemRef("p2", "ENT_HARMONIZED"), frozenset({ref("t3")})),
+    )
+    ann = annotation(preds, args, binds)
+    corpus, diags = validate_corpus(ParallelCorpus({"en": (ann,)}))
+    assert corpus.validated
+    assert [d.code for d in diags] == ["W-ROLE-NEAR-DUP"]
+    assert diags == validate_monolingual(ann, file="<en>")
+
+
 def two_sentence_corpus(alignments, tag_registry=TagRegistry()):
     left = MonolingualAnnotation(
         small_tree("s1"),
