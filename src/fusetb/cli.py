@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .corpus import (
+    _read,
     compute_stats,
     load_corpus,
     parse_manifest,
@@ -26,12 +27,11 @@ from .corpus import (
 from .formats import (
     Diagnostic,
     ParseError,
-    PredArg,
     serialize_alignments,
     serialize_predarg,
     serialize_trees,
 )
-from .model import ResolutionError, TagRegistry
+from .model import ResolutionError
 from .query import COLUMNS, QueryError, parse_query, run_query
 from .suggest import suggest_roles
 
@@ -53,25 +53,20 @@ def _print_diags(diags: list[Diagnostic]) -> None:
         print(d.render(), file=sys.stderr)
 
 
-def _registry_override() -> TagRegistry | None:
-    path = os.environ.get("FUSE_TAGS")
-    if not path:
-        return None
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_tag_registry(text, path)
-
-
 def _load(manifest_path: str):
     """Shared load step; returns (corpus, exit_code). Diagnostics are printed."""
-    try:
-        registry = _registry_override()
-    except OSError as exc:
-        print(f"ERROR\tE-IO\t{os.environ.get('FUSE_TAGS')}\tcannot read tag registry: {exc}",
-              file=sys.stderr)
-        return None, EXIT_IO
-    except ParseError as exc:
-        _print_diags([exc.diagnostic])
-        return None, EXIT_ERRORS
+    registry = None
+    tags_path = os.environ.get("FUSE_TAGS")
+    if tags_path:
+        diags: list[Diagnostic] = []
+        text = _read(tags_path, diags)
+        try:
+            registry = None if text is None else parse_tag_registry(text, tags_path)
+        except ParseError as exc:
+            diags.append(exc.diagnostic)
+        if diags:
+            _print_diags(diags)
+            return None, _exit_code(diags)
     corpus, diags = load_corpus(manifest_path, registry)
     _print_diags(diags)
     return corpus, _exit_code(diags)
@@ -186,11 +181,7 @@ def cmd_export(args) -> int:
             annotations = corpus.treebanks[entry.code]
             trees_text = serialize_trees(ann.tree for ann in annotations)
             (out_dir / Path(entry.trees_path).name).write_text(trees_text, encoding="utf-8")
-            predarg = {
-                ann.sentence_id: PredArg(ann.predicates, ann.arguments, ann.bindings)
-                for ann in annotations
-            }
-            pa_text = serialize_predarg(predarg)
+            pa_text = serialize_predarg({ann.sentence_id: ann for ann in annotations})
             (out_dir / Path(entry.predarg_path).name).write_text(pa_text, encoding="utf-8")
         exported = dataclasses.replace(
             manifest,
@@ -208,7 +199,7 @@ def cmd_export(args) -> int:
             serialize_manifest(exported), encoding="utf-8"
         )
     except OSError as exc:
-        print(f"ERROR\tE-IO\t{out_dir}\tcannot write: {exc}", file=sys.stderr)
+        _print_diags([Diagnostic.error("E-IO", str(out_dir), f"cannot write: {exc}")])
         return EXIT_IO
     return EXIT_OK
 

@@ -16,15 +16,17 @@ treebanks well-defined.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .formats import (
-    ERROR,
+    _LANG_RE,
+    _TAG_RE,
     Diagnostic,
     ParseError,
     PredArg,
+    _err,
+    _lines,
     parse_alignments,
     parse_predarg,
     parse_trees,
@@ -38,7 +40,7 @@ from .model import (
     TagRegistry,
     split_sentence_key,
 )
-from .validate import validate_corpus
+from .validate import _sorted_unique, validate_corpus
 
 __all__ = [
     "Manifest",
@@ -54,8 +56,8 @@ __all__ = [
     "compute_stats",
 ]
 
-_LANG_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
-_TAG_RE = re.compile(r"^[a-z][a-z0-9-]*$")
+# Tag-list directive -> TagRegistry field; a field not given keeps its default.
+_TAG_FIELDS = {"BINDTAGS": "binding_tags", "ALIGNTAGS": "alignment_tags"}
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,6 @@ class Manifest:
     registry: TagRegistry = TagRegistry()
 
 
-def _err(code: str, file: str, line: int | None, message: str):
-    raise ParseError(Diagnostic(ERROR, code, file, line, message))
-
-
 def _parse_tag_list(value: str, file: str, lineno: int) -> frozenset[str]:
     tags = []
     for tag in value.split(","):
@@ -96,10 +94,9 @@ def parse_manifest(text: str, filename: str = "<string>") -> Manifest:
     """Parse manifest text; paths are returned as written (not resolved)."""
     languages: list[LanguageEntry] = []
     aligns: list[tuple[int, AlignEntry]] = []
-    binding_tags = None
-    alignment_tags = None
-    for lineno, line in _numbered_lines(text):
-        if line.startswith("%%") or not line.strip():
+    tags: dict[str, frozenset[str]] = {}
+    for lineno, line in _lines(text, filename, strict=False):
+        if not line.strip():
             continue
         fields = line.split()
         directive = fields[0]
@@ -119,14 +116,10 @@ def parse_manifest(text: str, filename: str = "<string>") -> Manifest:
                 if not _LANG_RE.match(code):
                     _err("E-MANIFEST-SYNTAX", filename, lineno, f"malformed language code {code!r}")
             aligns.append((lineno, AlignEntry(fields[1], fields[2], fields[3])))
-        elif directive == "BINDTAGS":
-            if len(fields) != 2 or binding_tags is not None:
-                _err("E-MANIFEST-SYNTAX", filename, lineno, "malformed or repeated BINDTAGS line")
-            binding_tags = _parse_tag_list(fields[1], filename, lineno)
-        elif directive == "ALIGNTAGS":
-            if len(fields) != 2 or alignment_tags is not None:
-                _err("E-MANIFEST-SYNTAX", filename, lineno, "malformed or repeated ALIGNTAGS line")
-            alignment_tags = _parse_tag_list(fields[1], filename, lineno)
+        elif directive in _TAG_FIELDS:
+            if len(fields) != 2 or _TAG_FIELDS[directive] in tags:
+                _err("E-MANIFEST-SYNTAX", filename, lineno, f"malformed or repeated {directive} line")
+            tags[_TAG_FIELDS[directive]] = _parse_tag_list(fields[1], filename, lineno)
         else:
             _err("E-MANIFEST-SYNTAX", filename, lineno, f"unknown directive {directive!r}")
     if not languages:
@@ -136,18 +129,7 @@ def parse_manifest(text: str, filename: str = "<string>") -> Manifest:
         for code in (entry.left_lang, entry.right_lang):
             if code not in declared:
                 _err("E-MANIFEST-LANG", filename, lineno, f"ALIGN references undeclared language {code}")
-    registry = TagRegistry(
-        binding_tags if binding_tags is not None else DEFAULT_BINDING_TAGS,
-        alignment_tags if alignment_tags is not None else DEFAULT_ALIGNMENT_TAGS,
-    )
-    return Manifest(tuple(languages), tuple(entry for _, entry in aligns), registry)
-
-
-def _numbered_lines(text: str):
-    raw = text.split("\n")
-    if raw and raw[-1] == "":
-        raw.pop()
-    return enumerate(raw, 1)
+    return Manifest(tuple(languages), tuple(entry for _, entry in aligns), TagRegistry(**tags))
 
 
 def serialize_manifest(manifest: Manifest) -> str:
@@ -168,31 +150,24 @@ def serialize_manifest(manifest: Manifest) -> str:
 
 
 def parse_tag_registry(text: str, filename: str = "<string>") -> TagRegistry:
-    """Parse a standalone tag-registry file (BINDTAGS/ALIGNTAGS lines only)."""
-    binding_tags = None
-    alignment_tags = None
-    for lineno, line in _numbered_lines(text):
-        if line.startswith("%%") or not line.strip():
+    """Parse a standalone tag-registry file (BINDTAGS/ALIGNTAGS lines only; the last one wins)."""
+    tags: dict[str, frozenset[str]] = {}
+    for lineno, line in _lines(text, filename, strict=False):
+        if not line.strip():
             continue
         fields = line.split()
-        if len(fields) != 2 or fields[0] not in ("BINDTAGS", "ALIGNTAGS"):
+        if len(fields) != 2 or fields[0] not in _TAG_FIELDS:
             _err("E-MANIFEST-SYNTAX", filename, lineno, f"expected BINDTAGS or ALIGNTAGS line, got {line!r}")
-        tags = _parse_tag_list(fields[1], filename, lineno)
-        if fields[0] == "BINDTAGS":
-            binding_tags = tags
-        else:
-            alignment_tags = tags
-    return TagRegistry(
-        binding_tags if binding_tags is not None else DEFAULT_BINDING_TAGS,
-        alignment_tags if alignment_tags is not None else DEFAULT_ALIGNMENT_TAGS,
-    )
+        tags[_TAG_FIELDS[fields[0]]] = _parse_tag_list(fields[1], filename, lineno)
+    return TagRegistry(**tags)
 
 
-def _read(path: Path, diags: list[Diagnostic]) -> str | None:
+def _read(path: str | Path, diags: list[Diagnostic]) -> str | None:
+    """The one file reader: the file's text, or None after adding an E-IO diagnostic."""
     try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        diags.append(Diagnostic(ERROR, "E-IO", str(path), None, f"cannot read file: {exc}"))
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        diags.append(Diagnostic.error("E-IO", str(path), f"cannot read file: {exc}"))
         return None
 
 
@@ -239,11 +214,9 @@ def load_corpus(
         for sid in predarg:
             if sid not in known:
                 diags.append(
-                    Diagnostic(
-                        ERROR,
+                    Diagnostic.error(
                         "E-SENT-UNKNOWN",
                         str(pa_path),
-                        None,
                         f"sentence {sid} has annotations but no tree",
                     )
                 )
@@ -273,11 +246,9 @@ def load_corpus(
             right_lang = split_sentence_key(pair.right_sentence)[0]
             if (left_lang, right_lang) != (entry.left_lang, entry.right_lang):
                 diags.append(
-                    Diagnostic(
-                        ERROR,
+                    Diagnostic.error(
                         "E-PAIR-LANG",
                         str(al_path),
-                        None,
                         f"pair {pair.left_sentence} {pair.right_sentence} does not match"
                         f" ALIGN {entry.left_lang} {entry.right_lang}",
                     )
@@ -285,10 +256,10 @@ def load_corpus(
         pair_sets.append(PairSet(entry.left_lang, entry.right_lang, tuple(pairs)))
 
     if any(d.is_error for d in diags):
-        return None, sorted(set(diags), key=lambda d: d.sort_key)
+        return None, _sorted_unique(diags)
     corpus = ParallelCorpus(treebanks, tuple(pair_sets), registry)
     corpus, vdiags = validate_corpus(corpus, lang_files, pair_files)
-    diags = sorted(set(diags) | set(vdiags), key=lambda d: d.sort_key)
+    diags = _sorted_unique(diags + vdiags)
     if any(d.is_error for d in diags):
         return None, diags
     return corpus, diags

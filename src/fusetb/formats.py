@@ -1,12 +1,13 @@
 """Parsers and canonical serializers for the three annotation file types.
 
-All documents are UTF-8, NFC-normalized on input and LF-terminated on
-output. Lines starting with ``%%`` are comments and are ignored anywhere;
-blank lines are permitted only between blocks. Parsing is fail-fast: the
-first structural ERROR aborts the file with a ParseError carrying a
-Diagnostic (file + line); serializers are deterministic and emit the
-canonical form, so parse -> serialize is byte-identity on canonical files
-and serialize -> parse is structural identity on any valid data.
+All documents are UTF-8 without a byte-order mark, NFC-normalized on
+input and LF-terminated on output. Lines starting with ``%%`` are comments
+and are ignored anywhere; blank lines are permitted only between blocks.
+Parsing is fail-fast: the first structural ERROR aborts the file with a
+ParseError carrying a Diagnostic (file + line); serializers are
+deterministic and emit the canonical form, so parse -> serialize is
+byte-identity on canonical files and serialize -> parse is structural
+identity on any valid data.
 
 Formats:
 
@@ -18,7 +19,7 @@ Formats:
     #EOS <sid>
 
 ``<parent>`` is a nonterminal id or 0 for the virtual root; ``<edge>`` is
-``--`` when absent.
+``--`` when absent. Forms contain no whitespace.
 
 ``.pa`` (predicate-argument structures and bindings)::
 
@@ -59,6 +60,7 @@ from .model import (
     Token,
     is_pred_id,
     is_uppercase_name,
+    sort_elements,
 )
 
 __all__ = [
@@ -80,7 +82,7 @@ WARNING = "WARNING"
 _SID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _LANG_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
 _TAG_RE = re.compile(r"^[a-z][a-z0-9-]*$")
-_LABEL_RE = re.compile(r"^\S+$")  # POS / category / edge fields: no whitespace
+_LABEL_RE = re.compile(r"^\S+$")  # form / POS / category / edge fields: no whitespace
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,11 @@ class Diagnostic:
     file: str
     line: int | None
     message: str
+
+    @classmethod
+    def error(cls, code: str, file: str, message: str, line: int | None = None) -> "Diagnostic":
+        """The one constructor of ERROR diagnostics; line stays None where none applies."""
+        return cls(ERROR, code, file, line, message)
 
     @property
     def is_error(self) -> bool:
@@ -115,19 +122,26 @@ class ParseError(Exception):
 
 
 def _err(code: str, file: str, line: int | None, message: str):
-    raise ParseError(Diagnostic(ERROR, code, file, line, message))
+    raise ParseError(Diagnostic.error(code, file, message, line))
 
 
-def _lines(text: str, filename: str):
-    """NFC-normalize and split; yields (line_number, line). Rejects CR endings."""
-    text = unicodedata.normalize("NFC", text)
+def _lines(text: str, filename: str, strict: bool = True):
+    """(line_number, line) for each line of an input file that is not a %% comment.
+
+    Strict (the annotation formats) NFC-normalizes and rejects a byte-order mark and CR endings.
+    """
+    if strict:
+        text = unicodedata.normalize("NFC", text)
+        if text.startswith("\ufeff"):
+            _err("E-SYNTAX", filename, 1, "byte-order mark at start of file (files must not have one)")
     raw = text.split("\n")
     if raw and raw[-1] == "":
         raw.pop()
     for lineno, line in enumerate(raw, 1):
-        if line.endswith("\r"):
+        if strict and line.endswith("\r"):
             _err("E-SYNTAX", filename, lineno, "carriage-return line ending (files must be LF)")
-        yield lineno, line
+        if not line.startswith("%%"):
+            yield lineno, line
 
 
 def _check_sid(sid: str, filename: str, lineno: int) -> str:
@@ -201,8 +215,6 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
         trees.append(SentenceTree(sid, tuple(tokens), tuple(nonterminals)))
 
     for lineno, line in _lines(text, filename):
-        if line.startswith("%%"):
-            continue
         if not line.strip():
             if sid is not None:
                 _err("E-SYNTAX", filename, lineno, "blank line inside sentence block")
@@ -268,8 +280,8 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
         else:
             if in_nt_section:
                 _err("E-SYNTAX", filename, lineno, "terminal line after nonterminal lines")
-            if not name:
-                _err("E-SYNTAX", filename, lineno, "empty token form")
+            if not _LABEL_RE.match(name):
+                _err("E-SYNTAX", filename, lineno, "empty token form or whitespace in form")
             index = len(tokens) + 1
             tokens.append(Token(index, name, label, edge_label, parent))
             node_lines[-index] = lineno
@@ -308,15 +320,7 @@ class PredArg:
     bindings: tuple[Binding, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "predicates", tuple(sorted(self.predicates, key=lambda p: p.pred_id))
-        )
-        object.__setattr__(
-            self, "arguments", tuple(sorted(self.arguments, key=lambda a: (a.pred_id, a.role)))
-        )
-        object.__setattr__(
-            self, "bindings", tuple(sorted(self.bindings, key=lambda b: b.target.sort_key))
-        )
+        sort_elements(self)
 
 
 def _split_kv(fields: list[str], allowed: tuple[str, ...], filename: str, lineno: int) -> dict:
@@ -379,8 +383,6 @@ def parse_predarg(
         result[sid] = PredArg(tuple(preds), tuple(args), tuple(bindings))
 
     for lineno, line in _lines(text, filename):
-        if line.startswith("%%"):
-            continue
         if not line.strip():
             if sid is not None:
                 _err("E-SYNTAX", filename, lineno, "blank line inside sentence block")
@@ -468,7 +470,8 @@ def _binding_suffix(binding: Binding | None) -> str:
 
 
 def serialize_predarg(annotations) -> str:
-    """Canonical .pa text from an ordered mapping of sentence id -> PredArg.
+    """Canonical .pa text from an ordered mapping of sentence id -> PredArg
+    or MonolingualAnnotation.
 
     Blocks follow the mapping order; within a block, predicates sort by id,
     each followed by its arguments sorted by role.
@@ -521,8 +524,6 @@ def parse_alignments(
         pairs.append(SentencePairAlignment(header[0], header[1], tuple(alignments)))
 
     for lineno, line in _lines(text, filename):
-        if line.startswith("%%"):
-            continue
         if not line.strip():
             if header is not None:
                 _err("E-SYNTAX", filename, lineno, "blank line inside pair block")

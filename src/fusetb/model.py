@@ -24,7 +24,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 PRED_CLASSES = ("v", "n", "a")
 
@@ -191,10 +191,6 @@ class SentenceTree:
         for nt in self.nonterminals:
             yield NodeRef.nonterminal(nt.id)
 
-    def parent_of(self, ref: NodeRef) -> int:
-        node = self.node(ref)
-        return node.parent
-
 
 def node_yield(tree: SentenceTree, ref: NodeRef) -> list[int]:
     """All terminal indices dominated by ref (descendant-or-self), ascending.
@@ -297,6 +293,13 @@ def is_discontinuous(tree: SentenceTree, binding: Binding) -> bool:
     return covered[-1] - covered[0] + 1 != len(covered)
 
 
+def sort_elements(obj) -> None:
+    """Put a frozen object's predicates, arguments and bindings in canonical order."""
+    object.__setattr__(obj, "predicates", tuple(sorted(obj.predicates, key=lambda p: p.pred_id)))
+    object.__setattr__(obj, "arguments", tuple(sorted(obj.arguments, key=lambda a: (a.pred_id, a.role))))
+    object.__setattr__(obj, "bindings", tuple(sorted(obj.bindings, key=lambda b: b.target.sort_key)))
+
+
 @dataclass(frozen=True)
 class MonolingualAnnotation:
     """One sentence's tree plus predicate-argument structure and bindings."""
@@ -311,16 +314,12 @@ class MonolingualAnnotation:
     _refs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        preds = tuple(sorted(self.predicates, key=lambda p: p.pred_id))
-        args = tuple(sorted(self.arguments, key=lambda a: (a.pred_id, a.role)))
-        binds = tuple(sorted(self.bindings, key=lambda b: b.target.sort_key))
-        object.__setattr__(self, "predicates", preds)
-        object.__setattr__(self, "arguments", args)
-        object.__setattr__(self, "bindings", binds)
+        sort_elements(self)
+        preds, args = self.predicates, self.arguments
         object.__setattr__(self, "_preds", {p.pred_id: p for p in preds})
         object.__setattr__(self, "_args", {(a.pred_id, a.role): a for a in args})
         by_target: dict[ElemRef, list[Binding]] = {}
-        for b in binds:
+        for b in self.bindings:
             by_target.setdefault(b.target, []).append(b)
         object.__setattr__(self, "_bindings", by_target)
         refs = [ElemRef(p.pred_id) for p in preds]
@@ -330,6 +329,9 @@ class MonolingualAnnotation:
     @property
     def sentence_id(self) -> str:
         return self.tree.sentence_id
+
+    def predicate(self, pred_id: str) -> Predicate | None:
+        return self._preds.get(pred_id)
 
     def has_element(self, ref: ElemRef) -> bool:
         if ref.is_predicate:
@@ -363,6 +365,15 @@ class MonolingualAnnotation:
 
     def arguments_of(self, pred_id: str) -> tuple[Argument, ...]:
         return tuple(a for a in self.arguments if a.pred_id == pred_id)
+
+
+def group_roles(annotations: Iterable[MonolingualAnnotation]) -> Iterator[tuple[str, str]]:
+    """(group, role) of every argument whose predicate is declared, in annotation order."""
+    for ann in annotations:
+        for arg in ann.arguments:
+            pred = ann.predicate(arg.pred_id)
+            if pred is not None:
+                yield pred.group, arg.role
 
 
 def element_of(annotation: MonolingualAnnotation, ref: ElemRef | str) -> Predicate | Argument:
@@ -489,11 +500,6 @@ class ParallelCorpus:
         if ann is None:
             raise ResolutionError(f"unknown sentence {key}")
         return ann
-
-    def sentences(self, lang: str) -> tuple[MonolingualAnnotation, ...]:
-        if lang not in self.treebanks:
-            raise ResolutionError(f"unknown language {lang!r}")
-        return self.treebanks[lang]
 
     @cached_property
     def aligned(self) -> Mapping[str, frozenset[ElemRef]]:

@@ -98,8 +98,13 @@ class Filter:
 
 @dataclass(frozen=True)
 class Query:
+    """A checked query: building one with a bad key, value or command raises QueryError."""
+
     command: str
     filters: tuple[Filter, ...] = ()
+
+    def __post_init__(self):
+        check_query(self)
 
 
 def parse_query(text: str) -> Query:
@@ -118,9 +123,7 @@ def parse_query(text: str) -> Query:
         if not value:
             raise QueryError("E-Q-SYNTAX", f"empty value for {key}", pos)
         filters.append(Filter(key, op == "!=", value))
-    query = Query(command, tuple(filters))
-    check_query(query)
-    return query
+    return Query(command, tuple(filters))
 
 
 def check_query(query: Query) -> None:
@@ -184,7 +187,6 @@ def run_query(corpus: ParallelCorpus, query: Query) -> list[dict[str, str]]:
         raise CorpusNotValidatedError(
             "corpus has not been validated; load it through load_corpus or validate_corpus"
         )
-    check_query(query)
     runner = {
         "preds": _run_preds,
         "aligns": _run_aligns,
@@ -293,9 +295,8 @@ def _run_realizations(corpus, filters):
     rows = []
     for lang in corpus.languages:
         for ann in corpus.treebanks[lang]:
-            preds = {p.pred_id: p for p in ann.predicates}
             for arg in ann.arguments:
-                pred = preds[arg.pred_id]
+                pred = ann.predicate(arg.pred_id)
                 attrs = {"lang": lang, "group": pred.group, "role": arg.role}
                 if not _matches(attrs, filters):
                     continue

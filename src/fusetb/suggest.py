@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import ParallelCorpus, ResolutionError
+from .model import ParallelCorpus, ResolutionError, group_roles
 
 __all__ = ["RoleSuggestion", "suggest_roles"]
 
@@ -33,14 +33,10 @@ def suggest_roles(
         raise ResolutionError(f"unknown language {lang!r}")
     used = set(already_used)
     counts: dict[str, int] = {}
-    total = 0
-    for ann in corpus.treebanks[lang]:
-        preds = {p.pred_id: p for p in ann.predicates}
-        for arg in ann.arguments:
-            pred = preds.get(arg.pred_id)
-            if pred is not None and pred.group == group:
-                counts[arg.role] = counts.get(arg.role, 0) + 1
-                total += 1
+    for pred_group, role in group_roles(corpus.treebanks[lang]):
+        if pred_group == group:
+            counts[role] = counts.get(role, 0) + 1
+    total = sum(counts.values())
     suggestions = [
         RoleSuggestion(role, freq, freq / total)
         for role, freq in counts.items()

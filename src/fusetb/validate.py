@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Mapping
 
-from .formats import ERROR, WARNING, Diagnostic
+from .formats import WARNING, Diagnostic
 from .model import (
     Binding,
     ElemRef,
@@ -33,6 +33,7 @@ from .model import (
     MonolingualAnnotation,
     ParallelCorpus,
     SentencePairAlignment,
+    group_roles,
     is_ancestor,
     resolve_yield,
 )
@@ -50,10 +51,6 @@ _NEAR_DUP_MIN_LEN = 4
 
 def _sorted_unique(diags: list[Diagnostic]) -> list[Diagnostic]:
     return sorted(set(diags), key=lambda d: d.sort_key)
-
-
-def _error(code: str, file: str, message: str) -> Diagnostic:
-    return Diagnostic(ERROR, code, file, None, message)
 
 
 def _levenshtein_le_1(a: str, b: str) -> bool:
@@ -97,12 +94,8 @@ def _near_dup_diags(groups: Mapping[str, set[str]], file: str) -> list[Diagnosti
 
 def _group_roles(annotations: Iterable[MonolingualAnnotation]) -> dict[str, set[str]]:
     groups: dict[str, set[str]] = {}
-    for ann in annotations:
-        preds = {p.pred_id: p for p in ann.predicates}
-        for arg in ann.arguments:
-            pred = preds.get(arg.pred_id)
-            if pred is not None:
-                groups.setdefault(pred.group, set()).add(arg.role)
+    for group, role in group_roles(annotations):
+        groups.setdefault(group, set()).add(role)
     return groups
 
 
@@ -121,10 +114,10 @@ def _check_binding(
     diags = []
     where = f"sentence {sid}, binding of {binding.target}"
     if not ann.has_element(binding.target):
-        diags.append(_error("E-BIND-DANGLE", file, f"{where}: target is not a declared element"))
+        diags.append(Diagnostic.error("E-BIND-DANGLE", file, f"{where}: target is not a declared element"))
     if binding.tags and not binding.target.is_predicate:
         diags.append(
-            _error(
+            Diagnostic.error(
                 "E-TAG-ON-ARG",
                 file,
                 f"{where}: binding tags {sorted(binding.tags)} are only legal on predicates",
@@ -134,14 +127,14 @@ def _check_binding(
                 if not tree.has_node(ref)]
     if dangling:
         for ref in dangling:
-            diags.append(_error("E-BIND-DANGLE", file, f"{where}: node {ref} not in tree"))
+            diags.append(Diagnostic.error("E-BIND-DANGLE", file, f"{where}: node {ref} not in tree"))
         return diags
     included = sorted(binding.included, key=lambda r: r.sort_key)
     for i, ref_a in enumerate(included):
         for ref_b in included[i + 1 :]:
             if is_ancestor(tree, ref_a, ref_b) or is_ancestor(tree, ref_b, ref_a):
                 diags.append(
-                    _error(
+                    Diagnostic.error(
                         "E-INCL-NESTED",
                         file,
                         f"{where}: included nodes {ref_a} and {ref_b} are nested",
@@ -150,7 +143,7 @@ def _check_binding(
     for ref in sorted(binding.excluded, key=lambda r: r.sort_key):
         if not any(is_ancestor(tree, inc, ref) for inc in binding.included):
             diags.append(
-                _error(
+                Diagnostic.error(
                     "E-EXCL-NOT-DESC",
                     file,
                     f"{where}: excluded node {ref} is not a proper descendant of an included node",
@@ -159,7 +152,7 @@ def _check_binding(
     try:
         resolve_yield(tree, binding)
     except EmptyYieldError:
-        diags.append(_error("E-YIELD-EMPTY", file, f"{where}: empty binding yield"))
+        diags.append(Diagnostic.error("E-YIELD-EMPTY", file, f"{where}: empty binding yield"))
     return diags
 
 
@@ -180,7 +173,7 @@ def _sentence_diags(annotation: MonolingualAnnotation, file: str) -> list[Diagno
         n = len(annotation.bindings_for(ref))
         if n != 1:
             diags.append(
-                _error(
+                Diagnostic.error(
                     "E-BIND-MISSING",
                     file,
                     f"sentence {sid}: element {ref} has {n} bindings, expected exactly one",
@@ -189,11 +182,10 @@ def _sentence_diags(annotation: MonolingualAnnotation, file: str) -> list[Diagno
     for binding in annotation.bindings:
         diags.extend(_check_binding(annotation, binding, file))
     # recursion-freedom: an argument's yield may not overlap its predicate's
-    preds = {p.pred_id: p for p in annotation.predicates}
     for arg in annotation.arguments:
-        if arg.pred_id not in preds:
+        if annotation.predicate(arg.pred_id) is None:
             diags.append(
-                _error(
+                Diagnostic.error(
                     "E-BIND-DANGLE",
                     file,
                     f"sentence {sid}: argument {arg.pred_id}.{arg.role} owned by unknown predicate",
@@ -207,7 +199,7 @@ def _sentence_diags(annotation: MonolingualAnnotation, file: str) -> list[Diagno
         overlap = sorted(set(arg_yield) & set(pred_yield))
         if overlap:
             diags.append(
-                _error(
+                Diagnostic.error(
                     "E-RECURSION",
                     file,
                     f"sentence {sid}: argument {arg.pred_id}.{arg.role} yield overlaps its"
@@ -243,7 +235,7 @@ def validate_pair(
         if corpus.has_sentence(key):
             sides[key] = corpus.sentence(key)
         else:
-            diags.append(_error("E-ALIGN-DANGLE", file, f"{where}: unknown sentence {key}"))
+            diags.append(Diagnostic.error("E-ALIGN-DANGLE", file, f"{where}: unknown sentence {key}"))
             missing = True
     if missing:
         return _sorted_unique(diags)
@@ -261,7 +253,7 @@ def validate_pair(
             # a malformed record is reported once; its endpoints are not
             # fed into the duplicate/orphan bookkeeping
             diags.append(
-                _error(
+                Diagnostic.error(
                     "E-ALIGN-KIND",
                     file,
                     f"{link}: endpoint shape does not match {a.kind}-{a.kind} alignment",
@@ -274,14 +266,14 @@ def validate_pair(
         ):
             if not ann.has_element(ref):
                 diags.append(
-                    _error("E-ALIGN-DANGLE", file, f"{link}: {key} has no element {ref}")
+                    Diagnostic.error("E-ALIGN-DANGLE", file, f"{link}: {key} has no element {ref}")
                 )
             occurrences[(key, ref)] = occurrences.get((key, ref), 0) + 1
         if a.tag is not None and a.tag not in corpus.tag_registry.alignment_tags:
-            diags.append(_error("E-ALIGN-TAG", file, f"{link}: unregistered tag {a.tag!r}"))
+            diags.append(Diagnostic.error("E-ALIGN-TAG", file, f"{link}: unregistered tag {a.tag!r}"))
         if a.kind == "arg" and (a.left.pred_id, a.right.pred_id) not in pred_links:
             diags.append(
-                _error(
+                Diagnostic.error(
                     "E-ALIGN-ORPHAN-ARG",
                     file,
                     f"{link}: owner predicates {a.left.pred_id} and {a.right.pred_id}"
@@ -291,7 +283,7 @@ def validate_pair(
     for (key, ref), count in sorted(occurrences.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key)):
         if count > 1:
             diags.append(
-                _error(
+                Diagnostic.error(
                     "E-ALIGN-DUP",
                     file,
                     f"{where}: element {ref} of {key} appears in {count} alignments",

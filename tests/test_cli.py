@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from fusetb.cli import main
 
 from .conftest import FIXTURES, FIXTURE_FILES, mutate_file
@@ -40,6 +42,20 @@ def test_missing_manifest_exits_two(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.manifest")]) == 2
     _, err = capsys.readouterr()
     assert "E-IO" in err
+
+
+@pytest.mark.parametrize("name", ["en.pa", "tags.registry"])
+def test_undecodable_file_is_one_io_error(corpus_copy, monkeypatch, capsys, name):
+    path = corpus_copy / name
+    if name == "tags.registry":
+        path.write_text("ALIGNTAGS abs-opp,incomp\n", encoding="utf-8")
+        monkeypatch.setenv("FUSE_TAGS", str(path))
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    assert main(["validate", str(corpus_copy / "corpus.manifest")]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and "Traceback" not in err
+    assert len(lines) == 1 and lines[0].startswith(f"ERROR\tE-IO\t{path}\tcannot read file: ")
 
 
 def test_query_tsv_output(capsys):

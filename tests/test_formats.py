@@ -97,6 +97,8 @@ def test_duplicate_node_id():
         "#BOS s1\n#501\tNP\t--\t0\na\tNN\t--\t501\n#EOS s1\n",  # terminal after nonterminal
         "#BOS s1\na\tNN\t--\t502\nb\tNN\t--\t501\n#502\tNP\t--\t0\n#501\tNP\t--\t0\n#EOS s1\n",
         "#BOS s1\na\tNN\t--\t0\n#EOS s2\n",  # mismatched #EOS
+        "#BOS s1\na b\tNN\t--\t0\n#EOS s1\n",  # space in form
+        "#BOS s1\na\u00a0b\tNN\t--\t0\n#EOS s1\n",  # no-break space in form
     ],
 )
 def test_tb_syntax_errors(text):
@@ -122,6 +124,22 @@ def test_input_is_nfc_normalized():
     text = f"#BOS s1\n{decomposed}\tNN\t--\t0\n#EOS s1\n"
     trees = parse_trees(text)
     assert trees[0].tokens[0].form == "wörter"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_trees, "\ufeff#BOS s1\na\tNN\t--\t0\n#EOS s1\n"),
+        (parse_predarg, "\ufeff#SENT s1\n"),
+        (parse_alignments, "\ufeff#PAIR en:s1 de:s1\n"),
+    ],
+)
+def test_byte_order_mark_is_rejected(parse, text):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text, filename="f")
+    diag = excinfo.value.diagnostic
+    assert (diag.code, diag.file, diag.line) == ("E-SYNTAX", "f", 1)
+    assert "byte-order mark" in diag.message
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +227,15 @@ def test_pa_random_round_trip():
     rng = random.Random(8)
     for i in range(150):
         annotations = {}
+        monolingual = {}
         for k in range(rng.randint(0, 3)):
             sid = f"s{k + 1}"
             ann = random_annotation(rng, random_tree(rng, sid))
             annotations[sid] = PredArg(ann.predicates, ann.arguments, ann.bindings)
+            monolingual[sid] = ann
         text = serialize_predarg(annotations)
         assert parse_predarg(text) == annotations
+        assert serialize_predarg(monolingual) == text
 
 
 def test_pa_header_only_serialization():

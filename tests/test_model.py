@@ -136,6 +136,8 @@ def test_element_of(tree):
         element_of(ann, "p9")
     with pytest.raises(ResolutionError):
         element_of(ann, "p1.NOSUCH")
+    assert ann.predicate("p1") == Predicate("p1", "HARMONISE", "v", "HARMONISE")
+    assert ann.predicate("p9") is None
 
 
 def test_annotation_equality_is_order_insensitive(tree):

@@ -152,6 +152,14 @@ def test_unvalidated_corpus_is_refused():
 def test_run_query_rechecks_hand_built_queries(fixture_corpus):
     with pytest.raises(QueryError):
         run_query(fixture_corpus, Query("preds", (Filter("bogus", False, "x"),)))
+    # the check runs when the Query is built, so no invalid Query exists
+    for command, filters, message in (
+        ("unaligned", (), "E-Q-KEY: unaligned requires kind=pred or kind=arg"),
+        ("preds", (Filter("bogus", False, "x"),), "E-Q-KEY: filter 'bogus' is not valid for preds"),
+    ):
+        with pytest.raises(QueryError) as excinfo:
+            Query(command, filters)
+        assert (excinfo.value.code, str(excinfo.value)) == ("E-Q-KEY", message)
 
 
 def test_query_is_pure_and_deterministic(fixture_corpus):
