@@ -168,10 +168,24 @@ def cmd_export(args) -> int:
     corpus, code = _load(args.manifest)
     if corpus is None:
         return code
-    manifest = parse_manifest(
-        Path(args.manifest).read_text(encoding="utf-8"), args.manifest
-    )
+    diags: list[Diagnostic] = []
+    text = _read(args.manifest, diags)
+    if text is None:
+        _print_diags(diags)
+        return EXIT_IO
+    manifest = parse_manifest(text, args.manifest)
     out_dir = Path(args.out)
+    # every output file is named after one input file: two inputs with one name would overwrite
+    base = Path(args.manifest).parent
+    sources = {Path(args.manifest).name: Path(args.manifest)}
+    paths = [p for e in manifest.languages for p in (e.trees_path, e.predarg_path)]
+    for path in paths + [e.path for e in manifest.align_sets]:
+        name, source = Path(path).name, base / path
+        first = sources.setdefault(name, source)
+        if first != source:
+            message = f"cannot export: {first} and {source} would both be written as {name}"
+            _print_diags([Diagnostic.error("E-IO", str(out_dir / name), message)])
+            return EXIT_IO
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for entry, pair_set in zip(manifest.align_sets, corpus.pair_sets):
@@ -185,6 +199,7 @@ def cmd_export(args) -> int:
             (out_dir / Path(entry.predarg_path).name).write_text(pa_text, encoding="utf-8")
         exported = dataclasses.replace(
             manifest,
+            registry=corpus.tag_registry,
             languages=tuple(
                 dataclasses.replace(
                     e, trees_path=Path(e.trees_path).name, predarg_path=Path(e.predarg_path).name

@@ -163,9 +163,12 @@ def parse_tag_registry(text: str, filename: str = "<string>") -> TagRegistry:
 
 
 def _read(path: str | Path, diags: list[Diagnostic]) -> str | None:
-    """The one file reader: the file's text, or None after adding an E-IO diagnostic."""
+    """The one file reader: the file's text, or None after adding an E-IO diagnostic.
+
+    Line endings are kept as they are, so the parsers see (and reject) CR.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         diags.append(Diagnostic.error("E-IO", str(path), f"cannot read file: {exc}"))
         return None
@@ -229,10 +232,9 @@ def load_corpus(
         treebanks[entry.code] = tuple(annotations)
 
     pair_sets: list[PairSet] = []
-    pair_files: dict[tuple[str, str], str] = {}
+    pair_files: list[str] = []
     for entry in manifest.align_sets:
         al_path = base / entry.path
-        pair_files[(entry.left_lang, entry.right_lang)] = str(al_path)
         al_text = _read(al_path, diags)
         if al_text is None:
             continue
@@ -254,6 +256,7 @@ def load_corpus(
                     )
                 )
         pair_sets.append(PairSet(entry.left_lang, entry.right_lang, tuple(pairs)))
+        pair_files.append(str(al_path))
 
     if any(d.is_error for d in diags):
         return None, _sorted_unique(diags)

@@ -23,7 +23,7 @@ diagnostics sorted by (file, line, code, message).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .formats import WARNING, Diagnostic
 from .model import (
@@ -107,11 +107,11 @@ def check_group_roles(
 
 
 def _check_binding(
-    ann: MonolingualAnnotation, binding: Binding, file: str
-) -> list[Diagnostic]:
+    ann: MonolingualAnnotation, binding: Binding, file: str, diags: list[Diagnostic]
+) -> list[int] | None:
+    """Append the binding's diagnostics to diags; its yield, or None if a node dangles or it is empty."""
     tree = ann.tree
     sid = ann.sentence_id
-    diags = []
     where = f"sentence {sid}, binding of {binding.target}"
     if not ann.has_element(binding.target):
         diags.append(Diagnostic.error("E-BIND-DANGLE", file, f"{where}: target is not a declared element"))
@@ -128,7 +128,7 @@ def _check_binding(
     if dangling:
         for ref in dangling:
             diags.append(Diagnostic.error("E-BIND-DANGLE", file, f"{where}: node {ref} not in tree"))
-        return diags
+        return None
     included = sorted(binding.included, key=lambda r: r.sort_key)
     for i, ref_a in enumerate(included):
         for ref_b in included[i + 1 :]:
@@ -150,10 +150,10 @@ def _check_binding(
                 )
             )
     try:
-        resolve_yield(tree, binding)
+        return resolve_yield(tree, binding)
     except EmptyYieldError:
         diags.append(Diagnostic.error("E-YIELD-EMPTY", file, f"{where}: empty binding yield"))
-    return diags
+        return None
 
 
 def validate_monolingual(
@@ -179,8 +179,11 @@ def _sentence_diags(annotation: MonolingualAnnotation, file: str) -> list[Diagno
                     f"sentence {sid}: element {ref} has {n} bindings, expected exactly one",
                 )
             )
+    # only an element with exactly one binding has a yield
+    yields: dict[ElemRef, list[int] | None] = {}
     for binding in annotation.bindings:
-        diags.extend(_check_binding(annotation, binding, file))
+        found = _check_binding(annotation, binding, file, diags)
+        yields[binding.target] = None if binding.target in yields else found
     # recursion-freedom: an argument's yield may not overlap its predicate's
     for arg in annotation.arguments:
         if annotation.predicate(arg.pred_id) is None:
@@ -192,8 +195,8 @@ def _sentence_diags(annotation: MonolingualAnnotation, file: str) -> list[Diagno
                 )
             )
             continue
-        arg_yield = _clean_yield(annotation, ElemRef(arg.pred_id, arg.role))
-        pred_yield = _clean_yield(annotation, ElemRef(arg.pred_id))
+        arg_yield = yields.get(ElemRef(arg.pred_id, arg.role))
+        pred_yield = yields.get(ElemRef(arg.pred_id))
         if arg_yield is None or pred_yield is None:
             continue
         overlap = sorted(set(arg_yield) & set(pred_yield))
@@ -207,20 +210,6 @@ def _sentence_diags(annotation: MonolingualAnnotation, file: str) -> list[Diagno
                 )
             )
     return diags
-
-
-def _clean_yield(ann: MonolingualAnnotation, ref: ElemRef) -> list[int] | None:
-    """Yield of the element's unique binding, or None if that is not computable."""
-    bindings = ann.bindings_for(ref)
-    if len(bindings) != 1:
-        return None
-    binding = bindings[0]
-    if not all(ann.tree.has_node(r) for r in binding.included | binding.excluded):
-        return None
-    try:
-        return resolve_yield(ann.tree, binding)
-    except EmptyYieldError:
-        return None
 
 
 def validate_pair(
@@ -295,27 +284,26 @@ def validate_pair(
 def validate_corpus(
     corpus: ParallelCorpus,
     lang_files: Mapping[str, str] | None = None,
-    pair_files: Mapping[tuple[str, str], str] | None = None,
+    pair_files: Sequence[str] | None = None,
 ) -> tuple[ParallelCorpus, list[Diagnostic]]:
     """Run every check over a corpus; returns (corpus, diagnostics).
 
     The returned corpus carries validated=True iff no ERROR was found.
     File labels are used for diagnostic locations when provided (the
     loader passes real paths; in-memory corpora get <lang> placeholders).
+    pair_files holds one label per pair set, in corpus.pair_sets order,
+    since two pair sets may share a language pair.
     """
     lang_files = lang_files or {}
-    pair_files = pair_files or {}
+    if pair_files is None:
+        pair_files = [f"<{ps.left_lang}-{ps.right_lang}>" for ps in corpus.pair_sets]
     diags: list[Diagnostic] = []
     for lang in corpus.languages:
         label = lang_files.get(lang, f"<{lang}>")
         for ann in corpus.treebanks[lang]:
             diags.extend(_sentence_diags(ann, label))
         diags.extend(check_group_roles(corpus.treebanks[lang], file=label))
-    for pair_set in corpus.pair_sets:
-        label = pair_files.get(
-            (pair_set.left_lang, pair_set.right_lang),
-            f"<{pair_set.left_lang}-{pair_set.right_lang}>",
-        )
+    for pair_set, label in zip(corpus.pair_sets, pair_files, strict=True):
         for pair in pair_set.pairs:
             diags.extend(validate_pair(corpus, pair, file=label))
     diags = _sorted_unique(diags)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import fusetb.cli
 from fusetb.cli import main
+from fusetb.corpus import load_corpus
 
 from .conftest import FIXTURES, FIXTURE_FILES, mutate_file
 
@@ -134,6 +136,74 @@ def test_export_round_trip(tmp_path, capsys):
     for name in FIXTURE_FILES:
         assert (out_dir / name).read_bytes() == (FIXTURES / name).read_bytes()
     assert main(["validate", str(out_dir / "corpus.manifest")]) == 0
+
+
+def test_export_writes_the_loaded_registry(corpus_copy, tmp_path, monkeypatch, capsys):
+    mutate_file(corpus_copy, "en.pa", "group=HARMONISE nodes=t7", "group=HARMONISE nodes=t7 tags=foo")
+    registry = corpus_copy / "tags.registry"
+    registry.write_text("BINDTAGS pv,imp,foo\n", encoding="utf-8")
+    monkeypatch.setenv("FUSE_TAGS", str(registry))
+    out_dir = tmp_path / "exported"
+    assert main(["export", str(corpus_copy / "corpus.manifest"), "--out", str(out_dir)]) == 0
+    monkeypatch.delenv("FUSE_TAGS")
+    assert "BINDTAGS foo,imp,pv\n" in (out_dir / "corpus.manifest").read_text(encoding="utf-8")
+    assert main(["validate", str(out_dir / "corpus.manifest")]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err == ""
+
+
+def test_export_refuses_files_sharing_a_name(corpus_copy, tmp_path, capsys):
+    for lang in ("en", "de"):
+        (corpus_copy / lang).mkdir()
+        (corpus_copy / f"{lang}.tb").rename(corpus_copy / lang / "t.tb")
+        mutate_file(corpus_copy, "corpus.manifest", f"TREES {lang}.tb", f"TREES {lang}/t.tb")
+    out_dir = tmp_path / "exported"
+    assert main(["export", str(corpus_copy / "corpus.manifest"), "--out", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    assert lines[0].startswith(f"ERROR\tE-IO\t{out_dir / 't.tb'}\t")
+    for lang in ("en", "de"):
+        assert str(corpus_copy / lang / "t.tb") in lines[0]
+    assert not out_dir.exists()
+
+
+def test_export_reads_the_manifest_with_the_file_reader(corpus_copy, tmp_path, monkeypatch, capsys):
+    # the manifest vanishes between loading and export's own read of it
+    manifest = corpus_copy / "corpus.manifest"
+
+    def load_then_remove(path, registry=None):
+        loaded = load_corpus(path, registry)
+        manifest.unlink()
+        return loaded
+
+    monkeypatch.setattr(fusetb.cli, "load_corpus", load_then_remove)
+    assert main(["export", str(manifest), "--out", str(tmp_path / "exported")]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    assert lines[0].startswith(f"ERROR\tE-IO\t{manifest}\tcannot read file: ")
+
+
+def test_validate_rejects_crlf_tree_file(corpus_copy, capsys):
+    path = corpus_copy / "en.tb"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n", 1))
+    assert main(["validate", str(corpus_copy / "corpus.manifest")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"ERROR\tE-SYNTAX\t{path}:1\tcarriage-return line ending (files must be LF)"
+    ]
+
+
+def test_crlf_tag_registry_is_accepted(corpus_copy, monkeypatch, capsys):
+    mutate_file(corpus_copy, "en-de.al", "tag=incomp", "tag=near-syn")
+    registry = corpus_copy / "tags.registry"
+    registry.write_bytes(b"ALIGNTAGS abs-opp,incomp,near-syn\r\n")
+    monkeypatch.setenv("FUSE_TAGS", str(registry))
+    assert main(["validate", str(corpus_copy / "corpus.manifest")]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err == ""
 
 
 def test_fuse_tags_env_narrows_registry(corpus_copy, monkeypatch, capsys):

@@ -111,6 +111,25 @@ def test_load_rejects_pair_language_mismatch(corpus_copy):
     assert "E-PAIR-LANG" in [d.code for d in diags]
 
 
+def test_errors_are_reported_in_their_own_alignment_file(corpus_copy):
+    # two pair sets share the language pair en-de; only the first has a fault
+    shutil.copy(corpus_copy / "en-de.al", corpus_copy / "second.al")
+    mutate_file(corpus_copy, "en-de.al", "AALIGN p1.LOC p1.LOC", "AALIGN p1.NOPE p1.NOPE")
+    with (corpus_copy / "corpus.manifest").open("a", encoding="utf-8") as manifest:
+        manifest.write("ALIGN en de second.al\n")
+    corpus, diags = load_corpus(corpus_copy / "corpus.manifest")
+    assert corpus is None
+    errors = [d for d in diags if d.is_error]
+    assert errors and {d.file for d in errors} == {str(corpus_copy / "en-de.al")}
+
+
+def test_crlf_manifest_still_loads(corpus_copy, fixture_corpus):
+    manifest = corpus_copy / "corpus.manifest"
+    manifest.write_bytes(manifest.read_bytes().replace(b"\n", b"\r\n"))
+    corpus, diags = load_corpus(manifest)
+    assert diags == [] and corpus == fixture_corpus
+
+
 def test_three_languages_two_pair_sets(corpus_copy):
     (corpus_copy / "empty.al").write_text("", encoding="utf-8")
     text = (corpus_copy / "corpus.manifest").read_text(encoding="utf-8")

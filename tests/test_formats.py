@@ -142,6 +142,22 @@ def test_byte_order_mark_is_rejected(parse, text):
     assert "byte-order mark" in diag.message
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_trees, "#BOS s1\na\tNN\t--\t0\r\n#EOS s1\n"),
+        (parse_predarg, "#SENT s1\nPRED p1 lemma=A class=v group=A nodes=t1\r\n"),
+        (parse_alignments, "#PAIR en:s1 de:s1\nPALIGN p1 p1\r\n"),
+    ],
+)
+def test_carriage_return_is_rejected(parse, text):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text, filename="f")
+    diag = excinfo.value.diagnostic
+    assert (diag.code, diag.file, diag.line) == ("E-SYNTAX", "f", 2)
+    assert "carriage-return" in diag.message
+
+
 # ---------------------------------------------------------------------------
 # .pa
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
+import pytest
+
+import fusetb.validate
 from fusetb.model import (
     Alignment,
     Argument,
@@ -24,6 +28,8 @@ from fusetb.validate import (
     validate_monolingual,
     validate_pair,
 )
+
+from .generators import random_corpus
 
 
 def small_tree(sid="s1"):
@@ -137,6 +143,28 @@ def test_recursion_fixed_by_exclusion():
     )
     ann = annotation((P1,), (Argument("p1", "THEME"),), binds)
     assert validate_monolingual(ann) == []
+
+
+@pytest.mark.parametrize(
+    "binds",
+    [
+        # p1 bound twice; its second binding overlaps the argument's yield
+        (
+            Binding(ElemRef("p1"), frozenset({ref("t4")})),
+            Binding(ElemRef("p1"), frozenset({ref("t2")})),
+            Binding(ElemRef("p1", "THEME"), frozenset({ref("n501")})),
+        ),
+        # the argument bound twice; its first binding overlaps the predicate's yield
+        (
+            Binding(ElemRef("p1"), frozenset({ref("t2")})),
+            Binding(ElemRef("p1", "THEME"), frozenset({ref("n501")})),
+            Binding(ElemRef("p1", "THEME"), frozenset({ref("t1")})),
+        ),
+    ],
+)
+def test_recursion_needs_exactly_one_binding_per_element(binds):
+    ann = annotation((P1,), (Argument("p1", "THEME"),), binds)
+    assert error_codes(validate_monolingual(ann)) == ["E-BIND-MISSING"]
 
 
 def test_tag_on_argument_binding():
@@ -332,3 +360,21 @@ def test_diagnostics_are_deterministic():
     second = validate_monolingual(ann)
     assert first == second
     assert [d.sort_key for d in first] == sorted(d.sort_key for d in first)
+
+
+def test_validate_corpus_resolves_each_binding_once(fixture_corpus, monkeypatch):
+    corpora = (fixture_corpus, random_corpus(random.Random(17), max_sents=40))
+    calls = []
+    resolve_yield = fusetb.validate.resolve_yield
+
+    def counting(tree, binding):
+        calls.append(binding)
+        return resolve_yield(tree, binding)
+
+    monkeypatch.setattr(fusetb.validate, "resolve_yield", counting)
+    for corpus in corpora:
+        calls.clear()
+        _, diags = validate_corpus(corpus)
+        assert error_codes(diags) == []
+        bindings = sum(len(ann.bindings) for anns in corpus.treebanks.values() for ann in anns)
+        assert bindings > 10 and len(calls) == bindings
