@@ -173,7 +173,11 @@ def cmd_export(args) -> int:
     if text is None:
         _print_diags(diags)
         return EXIT_IO
-    manifest = parse_manifest(text, args.manifest)
+    try:
+        manifest = parse_manifest(text, args.manifest)
+    except ParseError as exc:
+        _print_diags([exc.diagnostic])
+        return EXIT_ERRORS
     out_dir = Path(args.out)
     # every output file is named after one input file: two inputs with one name would overwrite
     base = Path(args.manifest).parent

@@ -16,6 +16,8 @@ treebanks well-defined.
 
 from __future__ import annotations
 
+import gc
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,6 +176,14 @@ def _read(path: str | Path, diags: list[Diagnostic]) -> str | None:
         return None
 
 
+# Loads that hold cyclic GC paused, and whether GC was enabled when the
+# first of them paused it. gc.disable() is process-wide, so the last load
+# to finish restores the state the first one found.
+_gc_lock = threading.Lock()
+_gc_holds = 0
+_gc_was_enabled = False
+
+
 def load_corpus(
     manifest_path, registry: TagRegistry | None = None
 ) -> tuple[ParallelCorpus | None, list[Diagnostic]]:
@@ -183,8 +193,30 @@ def load_corpus(
     diagnostic was produced. A registry argument overrides the manifest's
     tag registry. When any file fails to parse, semantic validation is
     skipped: only the parse diagnostics are reported.
+
+    Cyclic GC is paused process-wide while loads run: the corpus is an
+    acyclic graph of new objects, so collections during a load free
+    nothing and only walk it. The caller's GC state is restored when the
+    last concurrent load returns or raises.
     """
-    manifest_path = Path(manifest_path)
+    global _gc_holds, _gc_was_enabled
+    with _gc_lock:
+        if _gc_holds == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_holds += 1
+    try:
+        return _load_corpus(Path(manifest_path), registry)
+    finally:
+        with _gc_lock:
+            _gc_holds -= 1
+            if _gc_holds == 0 and _gc_was_enabled:
+                gc.enable()
+
+
+def _load_corpus(
+    manifest_path: Path, registry: TagRegistry | None
+) -> tuple[ParallelCorpus | None, list[Diagnostic]]:
     diags: list[Diagnostic] = []
     text = _read(manifest_path, diags)
     if text is None:

@@ -40,10 +40,13 @@ Node refs are ``t<k>`` (terminal surface index) or ``n<id>`` (nonterminal).
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .model import (
+    EMPTY_FROZENSET,
     MIN_NONTERMINAL_ID,
     PRED_CLASSES,
     VIRTUAL_ROOT,
@@ -142,6 +145,12 @@ def _lines(text: str, filename: str, strict: bool = True):
             _err("E-SYNTAX", filename, lineno, "carriage-return line ending (files must be LF)")
         if not line.startswith("%%"):
             yield lineno, line
+
+
+@lru_cache(maxsize=4096)
+def _shared_label(text: str) -> str | None:
+    """One shared string per valid POS, category or edge label (small inventories), else None."""
+    return sys.intern(text) if _LABEL_RE.match(text) else None
 
 
 def _check_sid(sid: str, filename: str, lineno: int) -> str:
@@ -253,11 +262,14 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
         parent = int(parent_text)
         if parent != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
             _err("E-SYNTAX", filename, lineno, f"parent must be 0 or a nonterminal id, got {parent}")
-        if not _LABEL_RE.match(label):
+        label = _shared_label(label)
+        if label is None:
             _err("E-SYNTAX", filename, lineno, "empty or malformed label field")
-        if not _LABEL_RE.match(edge):
+        edge_label = _shared_label(edge)
+        if edge_label is None:
             _err("E-SYNTAX", filename, lineno, "empty or malformed edge field")
-        edge_label = None if edge == "--" else edge
+        if edge_label == "--":
+            edge_label = None
         if name.startswith("#"):
             id_text = name[1:]
             if not id_text.isdigit():
@@ -440,11 +452,11 @@ def parse_predarg(
             _err("E-SYNTAX", filename, lineno, "excl= requires nodes=")
         if "nodes" in kv:
             included = _parse_refs(kv["nodes"], filename, lineno)
-            excluded = _parse_refs(kv["excl"], filename, lineno) if "excl" in kv else frozenset()
+            excluded = _parse_refs(kv["excl"], filename, lineno) if "excl" in kv else EMPTY_FROZENSET
             tags = (
                 _parse_tags(kv["tags"], registry, filename, lineno)
                 if "tags" in kv
-                else frozenset()
+                else EMPTY_FROZENSET
             )
             bindings.append(Binding(target, included, excluded, tags))
         elif "tags" in kv:

@@ -15,6 +15,12 @@ tables, element refs, the per-pair-set alignment index) take no part in
 equality, repr or `dataclasses.replace`; the alignment indexes are built
 on first read. Building one twice gives equal results, so a loaded corpus
 is safe to share across threads.
+
+Equal immutable leaves may be shared objects: NodeRef.parse, terminal and
+nonterminal return one NodeRef per (kind, num) from a table of fixed size,
+every empty Binding.excluded and Binding.tags is one frozenset, and an
+annotation's element refs are its bindings' targets where it has them.
+Identity is not part of the API; compare with ==.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -39,6 +45,15 @@ MIN_NONTERMINAL_ID = 500
 _NODE_REF_RE = re.compile(r"^([tn])([0-9]+)$")
 _PRED_ID_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
+# Every empty Binding.excluded and Binding.tags is this one frozenset.
+EMPTY_FROZENSET: frozenset = frozenset()
+
+
+@lru_cache(maxsize=4096)
+def _shared_node_ref(kind: str, num: int) -> "NodeRef":
+    """One NodeRef per (kind, num); the fixed bound keeps unusual node numbering from growing it."""
+    return NodeRef(kind, num)
+
 
 class ResolutionError(LookupError):
     """An identifier (node, predicate, argument, sentence, language) does not resolve."""
@@ -48,6 +63,7 @@ class EmptyYieldError(ValueError):
     """A binding's included-minus-excluded token set is empty."""
 
 
+@lru_cache(maxsize=4096)  # names come from small inventories; each is checked once
 def is_uppercase_name(text: str) -> bool:
     """True if text is a valid lemma/role/group name: uppercase letters, _ or -."""
     if not text:
@@ -71,15 +87,15 @@ class NodeRef:
         m = _NODE_REF_RE.match(text)
         if not m:
             raise ValueError(f"malformed node reference {text!r} (expected t<k> or n<id>)")
-        return cls(m.group(1), int(m.group(2)))
+        return _shared_node_ref(m.group(1), int(m.group(2)))
 
     @classmethod
     def terminal(cls, index: int) -> "NodeRef":
-        return cls("t", index)
+        return _shared_node_ref("t", index)
 
     @classmethod
     def nonterminal(cls, node_id: int) -> "NodeRef":
-        return cls("n", node_id)
+        return _shared_node_ref("n", node_id)
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -166,7 +182,7 @@ class SentenceTree:
             children.setdefault(tok.parent, []).append(NodeRef.terminal(tok.index))
         for nt in nts:
             children.setdefault(nt.parent, []).append(NodeRef.nonterminal(nt.id))
-        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
 
     def has_node(self, ref: NodeRef) -> bool:
         if ref.kind == "t":
@@ -183,7 +199,7 @@ class SentenceTree:
 
     def children_of(self, node_id: int) -> tuple[NodeRef, ...]:
         """Direct children of a nonterminal id (or 0 for the virtual root)."""
-        return tuple(self._children.get(node_id, ()))
+        return self._children.get(node_id, ())
 
     def node_refs(self):
         for tok in self.tokens:
@@ -260,13 +276,13 @@ class Binding:
 
     target: ElemRef
     included: frozenset[NodeRef]
-    excluded: frozenset[NodeRef] = frozenset()
-    tags: frozenset[str] = frozenset()
+    excluded: frozenset[NodeRef] = EMPTY_FROZENSET
+    tags: frozenset[str] = EMPTY_FROZENSET
 
     def __post_init__(self):
         object.__setattr__(self, "included", frozenset(self.included))
-        object.__setattr__(self, "excluded", frozenset(self.excluded))
-        object.__setattr__(self, "tags", frozenset(self.tags))
+        object.__setattr__(self, "excluded", frozenset(self.excluded) or EMPTY_FROZENSET)
+        object.__setattr__(self, "tags", frozenset(self.tags) or EMPTY_FROZENSET)
 
 
 def resolve_yield(tree: SentenceTree, binding: Binding) -> list[int]:
@@ -318,13 +334,16 @@ class MonolingualAnnotation:
         preds, args = self.predicates, self.arguments
         object.__setattr__(self, "_preds", {p.pred_id: p for p in preds})
         object.__setattr__(self, "_args", {(a.pred_id, a.role): a for a in args})
-        by_target: dict[ElemRef, list[Binding]] = {}
+        # keyed by (pred_id, role), which hashes in C, like _args
+        by_target: dict[tuple[str, str | None], list[Binding]] = {}
         for b in self.bindings:
-            by_target.setdefault(b.target, []).append(b)
+            by_target.setdefault((b.target.pred_id, b.target.role), []).append(b)
         object.__setattr__(self, "_bindings", by_target)
-        refs = [ElemRef(p.pred_id) for p in preds]
-        refs.extend(ElemRef(a.pred_id, a.role) for a in args)
-        object.__setattr__(self, "_refs", tuple(refs))
+        keys = [(p.pred_id, None) for p in preds]
+        keys.extend((a.pred_id, a.role) for a in args)
+        # a bound element shares its ref with its binding's target
+        refs = tuple(by_target[k][0].target if k in by_target else ElemRef(*k) for k in keys)
+        object.__setattr__(self, "_refs", refs)
 
     @property
     def sentence_id(self) -> str:
@@ -354,11 +373,11 @@ class MonolingualAnnotation:
         return self._refs
 
     def bindings_for(self, ref: ElemRef) -> tuple[Binding, ...]:
-        return tuple(self._bindings.get(ref, ()))
+        return tuple(self._bindings.get((ref.pred_id, ref.role), ()))
 
     def binding_for(self, ref: ElemRef) -> Binding:
         """The element's unique binding; validated data has exactly one."""
-        found = self._bindings.get(ref)
+        found = self._bindings.get((ref.pred_id, ref.role))
         if not found:
             raise ResolutionError(f"sentence {self.sentence_id}: no binding for {ref}")
         return found[0]

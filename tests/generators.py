@@ -169,12 +169,13 @@ def random_corpus(
         for lang in langs
     }
     left_lang, right_lang = langs
+    by_sid = {lang: {a.sentence_id: a for a in anns} for lang, anns in treebanks.items()}
     pairs = []
     for sid in sids:
         if rng.random() > 0.85:
             continue
-        left_ann = next(a for a in treebanks[left_lang] if a.sentence_id == sid)
-        right_ann = next(a for a in treebanks[right_lang] if a.sentence_id == sid)
+        left_ann = by_sid[left_lang][sid]
+        right_ann = by_sid[right_lang][sid]
         left_preds = list(left_ann.predicates)
         right_preds = list(right_ann.predicates)
         rng.shuffle(left_preds)

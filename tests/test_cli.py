@@ -185,6 +185,25 @@ def test_export_reads_the_manifest_with_the_file_reader(corpus_copy, tmp_path, m
     assert lines[0].startswith(f"ERROR\tE-IO\t{manifest}\tcannot read file: ")
 
 
+def test_export_reports_a_manifest_that_turned_invalid(corpus_copy, tmp_path, monkeypatch, capsys):
+    # the manifest is replaced by an invalid one between loading and export's own read of it
+    manifest = corpus_copy / "corpus.manifest"
+
+    def load_then_spoil(path, registry=None):
+        loaded = load_corpus(path, registry)
+        manifest.write_text("BOGUS\n", encoding="utf-8")
+        return loaded
+
+    monkeypatch.setattr(fusetb.cli, "load_corpus", load_then_spoil)
+    out_dir = tmp_path / "exported"
+    assert main(["export", str(manifest), "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not out_dir.exists()
+    assert err.splitlines() == [
+        f"ERROR\tE-MANIFEST-SYNTAX\t{manifest}:1\tunknown directive 'BOGUS'"
+    ]
+
+
 def test_validate_rejects_crlf_tree_file(corpus_copy, capsys):
     path = corpus_copy / "en.tb"
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n", 1))

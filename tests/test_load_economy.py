@@ -1,0 +1,220 @@
+"""load_corpus pauses cyclic GC and shares the equal immutable leaves it builds."""
+
+from __future__ import annotations
+
+import gc
+import random
+import sys
+import threading
+
+import pytest
+
+import fusetb.corpus
+import fusetb.model
+from fusetb.cli import main
+from fusetb.corpus import load_corpus
+from fusetb.model import NodeRef
+
+from .conftest import FIXTURES
+from .generators import random_corpus, write_corpus_files
+
+FIXTURE_MANIFEST = FIXTURES / "corpus.manifest"
+
+
+@pytest.fixture()
+def generated(tmp_path):
+    """(in-memory corpus, manifest path) of a generated corpus written to files."""
+    corpus = random_corpus(random.Random(7), max_sents=40)
+    directory = tmp_path / "generated"
+    directory.mkdir()
+    return corpus, write_corpus_files(corpus, directory)
+
+
+@pytest.fixture()
+def gc_enabled():
+    """Run the test with GC enabled, and enable it again afterwards whatever the test did."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+def test_no_collection_runs_during_a_load(generated, gc_enabled, monkeypatch):
+    # The collection GC owes once it is enabled again may start as soon as
+    # the load body returns, so the hook counts collections inside the body.
+    _, manifest = generated
+    real_body = fusetb.corpus._load_corpus
+    inside = []
+    collections = []
+
+    def body(*args):
+        inside.append(True)
+        try:
+            return real_body(*args)
+        finally:
+            inside.pop()
+
+    def hook(phase, info):
+        if phase == "start" and inside:
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(fusetb.corpus, "_load_corpus", body)
+    gc.callbacks.append(hook)
+    try:
+        corpus, diags = load_corpus(manifest)
+    finally:
+        gc.callbacks.remove(hook)
+    assert corpus is not None, [d.render() for d in diags]
+    assert collections == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_keeps_the_callers_gc_state(enabled, gc_enabled):
+    if not enabled:
+        gc.disable()
+    corpus, _ = load_corpus(FIXTURE_MANIFEST)
+    assert corpus is not None
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_is_restored_when_a_parser_raises(enabled, gc_enabled, monkeypatch):
+    def broken(*args, **kwargs):
+        assert not gc.isenabled()
+        raise RuntimeError("parser failed")
+
+    monkeypatch.setattr(fusetb.corpus, "parse_trees", broken)
+    if not enabled:
+        gc.disable()
+    with pytest.raises(RuntimeError, match="parser failed"):
+        load_corpus(FIXTURE_MANIFEST)
+    assert gc.isenabled() is enabled
+
+
+def test_overlapping_loads_keep_gc_paused_until_the_last_returns(
+    fixture_corpus, gc_enabled, monkeypatch
+):
+    # Thread a finishes its load while thread b is still inside its own;
+    # b must still run with GC paused, and GC is enabled once both are done.
+    real_parse_trees = fusetb.corpus.parse_trees
+    both_inside = threading.Barrier(2, timeout=10)
+    a_done = threading.Event()
+    seen_by_b = []
+    results = {}
+
+    def parse_trees(text, filename):
+        if filename.endswith("en.tb"):
+            both_inside.wait()
+            if threading.current_thread().name == "b":
+                assert a_done.wait(timeout=10)
+                seen_by_b.append(gc.isenabled())
+        return real_parse_trees(text, filename)
+
+    def load(name):
+        results[name] = load_corpus(FIXTURE_MANIFEST)[0]
+
+    monkeypatch.setattr(fusetb.corpus, "parse_trees", parse_trees)
+    threads = {name: threading.Thread(target=load, args=(name,), name=name) for name in "ab"}
+    for thread in threads.values():
+        thread.start()
+    threads["a"].join(timeout=10)
+    assert not threads["a"].is_alive()
+    a_done.set()
+    threads["b"].join(timeout=10)
+    assert not threads["b"].is_alive()
+    assert seen_by_b == [False]
+    assert gc.isenabled()
+    assert results == {"a": fixture_corpus, "b": fixture_corpus}
+
+
+def test_many_concurrent_loads_restore_gc(fixture_corpus, gc_enabled):
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(
+                target=lambda: results.extend(load_corpus(FIXTURE_MANIFEST)[0] for _ in range(3))
+            )
+            for _ in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [fixture_corpus] * 18
+    assert gc.isenabled()
+
+
+def loaded_corpora(generated):
+    fixture, _ = load_corpus(FIXTURE_MANIFEST)
+    corpus, _ = load_corpus(generated[1])
+    return fixture, corpus
+
+
+def all_annotations(corpus):
+    return [ann for anns in corpus.treebanks.values() for ann in anns]
+
+
+def test_element_refs_are_the_binding_targets(generated):
+    for corpus in loaded_corpora(generated):
+        checked = 0
+        for ann in all_annotations(corpus):
+            for ref in ann.element_refs():
+                if ann.bindings_for(ref):
+                    assert ref is ann.binding_for(ref).target
+                    checked += 1
+        assert checked == sum(len(ann.bindings) for ann in all_annotations(corpus))
+
+
+def test_equal_node_refs_are_one_object(generated):
+    fixture, corpus = loaded_corpora(generated)
+    by_value = {}
+    checked = 0
+    for ann in all_annotations(fixture) + all_annotations(corpus):
+        tree = ann.tree
+        refs = list(tree.node_refs())
+        for node_id in [0] + [nt.id for nt in tree.nonterminals]:
+            assert tree.children_of(node_id) is tree.children_of(node_id)
+            refs.extend(tree.children_of(node_id))
+        for binding in ann.bindings:
+            refs.extend(binding.included | binding.excluded)
+        for ref in refs:
+            assert by_value.setdefault(ref, ref) is ref
+        checked += len(refs)
+    assert checked > 10 * len(by_value)
+
+
+def test_empty_excluded_and_tags_are_one_object(generated):
+    empties = set()
+    for corpus in loaded_corpora(generated):
+        for ann in all_annotations(corpus):
+            for binding in ann.bindings:
+                empties.update(id(s) for s in (binding.excluded, binding.tags) if not s)
+    assert len(empties) == 1
+
+
+def test_shared_leaves_change_no_value_repr_or_export(generated, tmp_path):
+    source, manifest = generated
+    corpus, _ = load_corpus(manifest)
+    fresh, _ = load_corpus(manifest)
+    assert corpus == fresh == source
+    assert repr(corpus) == repr(fresh)
+    out = tmp_path / "exported"
+    assert main(["export", manifest, "--out", str(out)]) == 0
+    inputs = sorted(p for p in (tmp_path / "generated").iterdir())
+    assert [p.name for p in inputs] == sorted(p.name for p in out.iterdir())
+    for path in inputs:
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    reloaded, _ = load_corpus(out / "corpus.manifest")
+    assert reloaded == corpus and repr(reloaded) == repr(corpus)
+
+
+def test_node_ref_table_stops_growing_at_its_bound():
+    bound = fusetb.model._shared_node_ref.cache_info().maxsize
+    refs = [NodeRef.parse(f"n{500 + i}") for i in range(bound + 100)]
+    assert fusetb.model._shared_node_ref.cache_info().currsize == bound
+    assert [ref.num for ref in refs] == list(range(500, 600 + bound))
+    assert NodeRef.parse("n500") == refs[0]
