@@ -16,21 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import (
-    _read,
-    compute_stats,
-    load_corpus,
-    parse_manifest,
-    parse_tag_registry,
-    serialize_manifest,
-)
-from .formats import (
-    Diagnostic,
-    ParseError,
-    serialize_alignments,
-    serialize_predarg,
-    serialize_trees,
-)
+from .corpus import _read, compute_stats, load_corpus, parse_tag_registry, serialize_manifest
+from .formats import Diagnostic, ParseError, serialize_alignments, serialize_predarg, serialize_trees
 from .model import ResolutionError
 from .query import COLUMNS, QueryError, parse_query, run_query
 from .suggest import suggest_roles
@@ -72,9 +59,8 @@ def _load(manifest_path: str):
     return corpus, _exit_code(diags)
 
 
-def cmd_validate(args) -> int:
-    _, code = _load(args.manifest)
-    return code
+def cmd_validate(corpus, args) -> int:
+    return EXIT_OK
 
 
 def _print_rows(columns, rows, as_json: bool) -> None:
@@ -87,10 +73,7 @@ def _print_rows(columns, rows, as_json: bool) -> None:
         print("\t".join(row[c] for c in columns))
 
 
-def cmd_query(args) -> int:
-    corpus, code = _load(args.manifest)
-    if corpus is None:
-        return code
+def cmd_query(corpus, args) -> int:
     try:
         query = parse_query(args.query)
         rows = run_query(corpus, query)
@@ -101,54 +84,45 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args) -> int:
-    corpus, code = _load(args.manifest)
-    if corpus is None:
-        return code
+# TSV metric prefix of each counts-by-key stats field; the unaligned
+# counts by language are written by cmd_stats itself
+_STATS_PREFIXES = {
+    "by_class": "class:",
+    "binding_tags": "bindtag:",
+    "pred_tags": "atag:pred:",
+    "arg_tags": "atag:arg:",
+}
+
+
+def _print_stats_rows(scope: str, stats) -> None:
+    """One row per int field and per key of a prefixed dict field, in declaration order."""
+    for f in dataclasses.fields(stats):
+        value = getattr(stats, f.name)
+        if f.name in _STATS_PREFIXES:
+            for key, count in value.items():
+                print(f"{scope}\t{_STATS_PREFIXES[f.name]}{key}\t{count}")
+        elif isinstance(value, int):
+            print(f"{scope}\t{f.name}\t{value}")
+
+
+def cmd_stats(corpus, args) -> int:
     stats = compute_stats(corpus)
     if args.json:
-        payload = {
-            "languages": {
-                lang: dataclasses.asdict(s) for lang, s in stats.languages.items()
-            },
-            "pair_sets": [dataclasses.asdict(s) for s in stats.pair_sets],
-        }
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
+        print(json.dumps(dataclasses.asdict(stats), ensure_ascii=False, indent=2))
         return EXIT_OK
     print("scope\tmetric\tvalue")
-    for lang in sorted(stats.languages):
-        s = stats.languages[lang]
-        scope = f"lang:{lang}"
-        for metric, value in (
-            ("sentences", s.sentences),
-            ("tokens", s.tokens),
-            ("predicates", s.predicates),
-            ("arguments", s.arguments),
-        ):
-            print(f"{scope}\t{metric}\t{value}")
-        for cls in ("v", "n", "a"):
-            print(f"{scope}\tclass:{cls}\t{s.by_class.get(cls, 0)}")
-        for tag in sorted(s.binding_tags):
-            print(f"{scope}\tbindtag:{tag}\t{s.binding_tags[tag]}")
+    for lang, s in stats.languages.items():
+        _print_stats_rows(f"lang:{lang}", s)
     for s in stats.pair_sets:
         scope = f"pair:{s.left_lang}-{s.right_lang}"
-        print(f"{scope}\tpairs\t{s.pairs}")
-        print(f"{scope}\tpred_alignments\t{s.pred_alignments}")
-        print(f"{scope}\targ_alignments\t{s.arg_alignments}")
-        for tag in sorted(s.pred_tags):
-            print(f"{scope}\tatag:pred:{tag}\t{s.pred_tags[tag]}")
-        for tag in sorted(s.arg_tags):
-            print(f"{scope}\tatag:arg:{tag}\t{s.arg_tags[tag]}")
-        for lang in (s.left_lang, s.right_lang):
+        _print_stats_rows(scope, s)
+        for lang in dict.fromkeys((s.left_lang, s.right_lang)):
             print(f"{scope}\tunaligned_preds:{lang}\t{s.unaligned_predicates[lang]}")
             print(f"{scope}\tunaligned_args:{lang}\t{s.unaligned_arguments[lang]}")
     return EXIT_OK
 
 
-def cmd_suggest(args) -> int:
-    corpus, code = _load(args.manifest)
-    if corpus is None:
-        return code
+def cmd_suggest(corpus, args) -> int:
     used = [r for r in (args.used.split(",") if args.used else []) if r]
     try:
         suggestions = suggest_roles(corpus, args.lang, args.group, used)
@@ -164,20 +138,8 @@ def cmd_suggest(args) -> int:
     return EXIT_OK
 
 
-def cmd_export(args) -> int:
-    corpus, code = _load(args.manifest)
-    if corpus is None:
-        return code
-    diags: list[Diagnostic] = []
-    text = _read(args.manifest, diags)
-    if text is None:
-        _print_diags(diags)
-        return EXIT_IO
-    try:
-        manifest = parse_manifest(text, args.manifest)
-    except ParseError as exc:
-        _print_diags([exc.diagnostic])
-        return EXIT_ERRORS
+def cmd_export(corpus, args) -> int:
+    manifest = corpus.manifest
     out_dir = Path(args.out)
     # every output file is named after one input file: two inputs with one name would overwrite
     base = Path(args.manifest).parent
@@ -203,7 +165,6 @@ def cmd_export(args) -> int:
             (out_dir / Path(entry.predarg_path).name).write_text(pa_text, encoding="utf-8")
         exported = dataclasses.replace(
             manifest,
-            registry=corpus.tag_registry,
             languages=tuple(
                 dataclasses.replace(
                     e, trees_path=Path(e.trees_path).name, predarg_path=Path(e.predarg_path).name
@@ -263,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    corpus, code = _load(args.manifest)
+    return code if corpus is None else args.func(corpus, args)
 
 
 def run() -> None:

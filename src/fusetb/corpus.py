@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import gc
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .formats import (
@@ -168,10 +168,11 @@ def _read(path: str | Path, diags: list[Diagnostic]) -> str | None:
     """The one file reader: the file's text, or None after adding an E-IO diagnostic.
 
     Line endings are kept as they are, so the parsers see (and reject) CR.
+    A NUL byte in the path and text that is not UTF-8 both raise ValueError.
     """
     try:
         return Path(path).read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         diags.append(Diagnostic.error("E-IO", str(path), f"cannot read file: {exc}"))
         return None
 
@@ -191,8 +192,9 @@ def load_corpus(
 
     Returns (corpus, diagnostics); the corpus is None whenever any ERROR
     diagnostic was produced. A registry argument overrides the manifest's
-    tag registry. When any file fails to parse, semantic validation is
-    skipped: only the parse diagnostics are reported.
+    tag registry; the corpus keeps the parsed manifest, with the registry
+    it was loaded with, as its `manifest`. When any file fails to parse,
+    semantic validation is skipped: only the parse diagnostics are reported.
 
     Cyclic GC is paused process-wide while loads run: the corpus is an
     acyclic graph of new objects, so collections during a load free
@@ -227,6 +229,7 @@ def _load_corpus(
         return None, [exc.diagnostic]
     if registry is None:
         registry = manifest.registry
+    manifest = replace(manifest, registry=registry)
     base = manifest_path.parent
 
     treebanks: dict[str, tuple[MonolingualAnnotation, ...]] = {}
@@ -292,7 +295,7 @@ def _load_corpus(
 
     if any(d.is_error for d in diags):
         return None, _sorted_unique(diags)
-    corpus = ParallelCorpus(treebanks, tuple(pair_sets), registry)
+    corpus = ParallelCorpus(treebanks, tuple(pair_sets), registry, manifest=manifest)
     corpus, vdiags = validate_corpus(corpus, lang_files, pair_files)
     diags = _sorted_unique(diags + vdiags)
     if any(d.is_error for d in diags):

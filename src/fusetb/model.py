@@ -30,7 +30,10 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .corpus import Manifest
 
 PRED_CLASSES = ("v", "n", "a")
 
@@ -484,14 +487,16 @@ class ParallelCorpus:
     """Union of per-language treebanks plus pair sets of alignments.
 
     `validated` marks a corpus that passed full validation with no ERROR
-    diagnostics; query evaluation requires it. The flag never participates
-    in equality.
+    diagnostics; query evaluation requires it. `manifest` is the parsed
+    manifest a loaded corpus came from, with the registry it was loaded
+    with. Neither participates in equality.
     """
 
     treebanks: dict[str, tuple[MonolingualAnnotation, ...]]
     pair_sets: tuple[PairSet, ...] = ()
     tag_registry: TagRegistry = TagRegistry()
     validated: bool = field(default=False, compare=False)
+    manifest: Manifest | None = field(default=None, compare=False, repr=False)
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -6,8 +6,10 @@ E-EXCL-NOT-DESC (excluded node is not a proper descendant of an included
 node), E-INCL-NESTED (included nodes stand in a dominance relation),
 E-YIELD-EMPTY (nothing left after exclusions), E-RECURSION (argument
 yield overlaps its own predicate's yield), E-TAG-ON-ARG (binding tag on
-an argument binding), plus the warning W-ROLE-NEAR-DUP (suspiciously
-similar role names inside one predicate group).
+an argument binding), all from validate_monolingual. A predicate group
+spans sentences, so the warning W-ROLE-NEAR-DUP (suspiciously similar
+role names inside one group) comes from the treebank-wide
+check_group_roles, which validate_corpus runs per language.
 
 Error codes (pair level): E-ALIGN-DANGLE (endpoint or sentence does not
 resolve), E-ALIGN-KIND (endpoint shape contradicts the alignment kind),
@@ -73,7 +75,13 @@ def roles_near_duplicate(a: str, b: str) -> bool:
     return a.casefold() == b.casefold() or _levenshtein_le_1(a, b)
 
 
-def _near_dup_diags(groups: Mapping[str, set[str]], file: str) -> list[Diagnostic]:
+def check_group_roles(
+    annotations: Iterable[MonolingualAnnotation], file: str = "<memory>"
+) -> list[Diagnostic]:
+    """Treebank-wide near-duplicate role scan (a group spans sentences)."""
+    groups: dict[str, set[str]] = {}
+    for group, role in group_roles(annotations):
+        groups.setdefault(group, set()).add(role)
     diags = []
     for group in sorted(groups):
         roles = sorted(groups[group])
@@ -89,21 +97,7 @@ def _near_dup_diags(groups: Mapping[str, set[str]], file: str) -> list[Diagnosti
                             f"group {group}: roles {role_a} and {role_b} look like near-duplicates",
                         )
                     )
-    return diags
-
-
-def _group_roles(annotations: Iterable[MonolingualAnnotation]) -> dict[str, set[str]]:
-    groups: dict[str, set[str]] = {}
-    for group, role in group_roles(annotations):
-        groups.setdefault(group, set()).add(role)
-    return groups
-
-
-def check_group_roles(
-    annotations: Iterable[MonolingualAnnotation], file: str = "<memory>"
-) -> list[Diagnostic]:
-    """Treebank-wide near-duplicate role scan (a group spans sentences)."""
-    return _sorted_unique(_near_dup_diags(_group_roles(annotations), file))
+    return _sorted_unique(diags)
 
 
 def _check_binding(
@@ -160,13 +154,6 @@ def validate_monolingual(
     annotation: MonolingualAnnotation, file: str = "<memory>"
 ) -> list[Diagnostic]:
     """All single-sentence checks; one diagnostic per violation."""
-    diags = _sentence_diags(annotation, file)
-    diags.extend(_near_dup_diags(_group_roles([annotation]), file))
-    return _sorted_unique(diags)
-
-
-def _sentence_diags(annotation: MonolingualAnnotation, file: str) -> list[Diagnostic]:
-    """validate_monolingual without the role scan, which check_group_roles covers."""
     diags: list[Diagnostic] = []
     sid = annotation.sentence_id
     for ref in annotation.element_refs():
@@ -209,7 +196,7 @@ def _sentence_diags(annotation: MonolingualAnnotation, file: str) -> list[Diagno
                     f" predicate's yield at tokens {overlap}",
                 )
             )
-    return diags
+    return _sorted_unique(diags)
 
 
 def validate_pair(
@@ -301,7 +288,7 @@ def validate_corpus(
     for lang in corpus.languages:
         label = lang_files.get(lang, f"<{lang}>")
         for ann in corpus.treebanks[lang]:
-            diags.extend(_sentence_diags(ann, label))
+            diags.extend(validate_monolingual(ann, label))
         diags.extend(check_group_roles(corpus.treebanks[lang], file=label))
     for pair_set, label in zip(corpus.pair_sets, pair_files, strict=True):
         for pair in pair_set.pairs:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 import fusetb.cli
 from fusetb.cli import main
-from fusetb.corpus import load_corpus
+from fusetb.corpus import load_corpus, parse_manifest, parse_tag_registry
 
 from .conftest import FIXTURES, FIXTURE_FILES, mutate_file
 
@@ -40,10 +41,22 @@ def test_validate_warning_exits_zero(corpus_copy, capsys):
     assert "W-ROLE-NEAR-DUP" in err
 
 
-def test_missing_manifest_exits_two(tmp_path, capsys):
-    assert main(["validate", str(tmp_path / "nope.manifest")]) == 2
-    _, err = capsys.readouterr()
-    assert "E-IO" in err
+SUBCOMMAND_ARGS = {
+    "validate": [],
+    "query": ["preds"],
+    "stats": [],
+    "suggest": ["--lang", "en", "--group", "GIVE"],
+    "export": ["--out", "exported"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_ARGS)
+def test_missing_manifest_exits_two(tmp_path, capsys, command):
+    manifest = tmp_path / "nope.manifest"
+    assert main([command, str(manifest), *SUBCOMMAND_ARGS[command]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"ERROR\tE-IO\t{manifest}\tcannot read file: ")
 
 
 @pytest.mark.parametrize("name", ["en.pa", "tags.registry"])
@@ -58,6 +71,40 @@ def test_undecodable_file_is_one_io_error(corpus_copy, monkeypatch, capsys, name
     lines = err.splitlines()
     assert out == "" and "Traceback" not in err
     assert len(lines) == 1 and lines[0].startswith(f"ERROR\tE-IO\t{path}\tcannot read file: ")
+
+
+def test_nul_byte_in_a_path_is_one_io_error(corpus_copy, capsys):
+    mutate_file(corpus_copy, "corpus.manifest", "PREDARG de.pa", "PREDARG de\0.pa")
+    path = corpus_copy / "de\0.pa"
+    assert main(["validate", str(corpus_copy / "corpus.manifest")]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and "Traceback" not in err
+    assert len(lines) == 1 and lines[0].startswith(f"ERROR\tE-IO\t{path}\tcannot read file: ")
+
+
+def test_loaded_corpus_keeps_its_manifest_with_the_effective_registry(
+    corpus_copy, monkeypatch, capsys
+):
+    registry = corpus_copy / "tags.registry"
+    registry.write_text("ALIGNTAGS abs-opp,incomp,near-syn\n", encoding="utf-8")
+    monkeypatch.setenv("FUSE_TAGS", str(registry))
+    loaded = []
+
+    def load_and_keep(path, registry=None):
+        loaded.append(load_corpus(path, registry))
+        return loaded[-1]
+
+    monkeypatch.setattr(fusetb.cli, "load_corpus", load_and_keep)
+    path = corpus_copy / "corpus.manifest"
+    assert main(["validate", str(path)]) == 0
+    parsed = parse_manifest(path.read_text(encoding="utf-8"), str(path))
+    tags = parse_tag_registry(registry.read_text(encoding="utf-8"))
+    [(corpus, _)] = loaded
+    assert corpus.manifest == dataclasses.replace(parsed, registry=tags)
+    assert corpus.manifest.registry == corpus.tag_registry != parsed.registry
+    # the manifest takes no part in equality
+    assert dataclasses.replace(corpus, manifest=None) == corpus
 
 
 def test_query_tsv_output(capsys):
@@ -102,6 +149,21 @@ def test_stats_tsv(capsys):
     assert "lang:de\tbindtag:pv\t2" in lines
     assert "pair:en-de\tpred_alignments\t4" in lines
     assert "pair:en-de\tatag:arg:incomp\t1" in lines
+
+
+def test_stats_same_language_pair_set_prints_each_language_once(corpus_copy, capsys):
+    (corpus_copy / "en-en.al").write_text("#PAIR en:s1 en:s2\n", encoding="utf-8")
+    with (corpus_copy / "corpus.manifest").open("a", encoding="utf-8") as f:
+        f.write("ALIGN en en en-en.al\n")
+    manifest = str(corpus_copy / "corpus.manifest")
+    assert main(["stats", manifest, "--json"]) == 0
+    [pair_set] = json.loads(capsys.readouterr()[0])["pair_sets"][1:]
+    assert main(["stats", manifest]) == 0
+    lines = [l for l in capsys.readouterr()[0].splitlines() if "unaligned" in l and "en-en" in l]
+    assert lines == [
+        f"pair:en-en\tunaligned_preds:en\t{pair_set['unaligned_predicates']['en']}",
+        f"pair:en-en\tunaligned_args:en\t{pair_set['unaligned_arguments']['en']}",
+    ]
 
 
 def test_stats_json(capsys):
@@ -168,40 +230,25 @@ def test_export_refuses_files_sharing_a_name(corpus_copy, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_export_reads_the_manifest_with_the_file_reader(corpus_copy, tmp_path, monkeypatch, capsys):
-    # the manifest vanishes between loading and export's own read of it
+@pytest.mark.parametrize("change", ["delete", "spoil"])
+def test_export_writes_the_loaded_manifest(corpus_copy, tmp_path, monkeypatch, capsys, change):
+    # the manifest vanishes or turns invalid after the load; export writes what was loaded
     manifest = corpus_copy / "corpus.manifest"
 
-    def load_then_remove(path, registry=None):
+    def load_then_change(path, registry=None):
         loaded = load_corpus(path, registry)
-        manifest.unlink()
+        if change == "delete":
+            manifest.unlink()
+        else:
+            manifest.write_text("BOGUS\n", encoding="utf-8")
         return loaded
 
-    monkeypatch.setattr(fusetb.cli, "load_corpus", load_then_remove)
-    assert main(["export", str(manifest), "--out", str(tmp_path / "exported")]) == 2
-    out, err = capsys.readouterr()
-    lines = err.splitlines()
-    assert out == "" and len(lines) == 1
-    assert lines[0].startswith(f"ERROR\tE-IO\t{manifest}\tcannot read file: ")
-
-
-def test_export_reports_a_manifest_that_turned_invalid(corpus_copy, tmp_path, monkeypatch, capsys):
-    # the manifest is replaced by an invalid one between loading and export's own read of it
-    manifest = corpus_copy / "corpus.manifest"
-
-    def load_then_spoil(path, registry=None):
-        loaded = load_corpus(path, registry)
-        manifest.write_text("BOGUS\n", encoding="utf-8")
-        return loaded
-
-    monkeypatch.setattr(fusetb.cli, "load_corpus", load_then_spoil)
+    monkeypatch.setattr(fusetb.cli, "load_corpus", load_then_change)
     out_dir = tmp_path / "exported"
-    assert main(["export", str(manifest), "--out", str(out_dir)]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and not out_dir.exists()
-    assert err.splitlines() == [
-        f"ERROR\tE-MANIFEST-SYNTAX\t{manifest}:1\tunknown directive 'BOGUS'"
-    ]
+    assert main(["export", str(manifest), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr() == ("", "")
+    for name in FIXTURE_FILES:
+        assert (out_dir / name).read_bytes() == (FIXTURES / name).read_bytes()
 
 
 def test_validate_rejects_crlf_tree_file(corpus_copy, capsys):

@@ -1,0 +1,115 @@
+"""Seeded fuzzing of the read/write contract on mutated fixture copies.
+
+Each case copies the fixture corpus plus a FUSE_TAGS registry, applies
+one seeded mutation to one of the files and runs `fuse validate` and
+`fuse export`. No exception may escape, the exit code is 0, 1 or 2,
+every diagnostic code is one README documents, every diagnostic names a
+file of the corpus or the export with a line inside that file, and an
+export that succeeds must validate and reload equal to the corpus it was
+written from.
+Raise CASES for a longer seed sweep.
+"""
+
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import pytest
+
+import fusetb.cli
+from fusetb.cli import main
+from fusetb.corpus import load_corpus
+
+from .conftest import FIXTURE_FILES, REPO_ROOT
+from .test_docs import _README_CODE_RE
+
+CASES = 100
+README_CODES = set(_README_CODE_RE.findall((REPO_ROOT / "README.md").read_text(encoding="utf-8")))
+TAGS_FILE = "tags.registry"
+TARGETS = FIXTURE_FILES + (TAGS_FILE,)
+
+
+def _lines_mutation(op):
+    def mutate(rng: random.Random, data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        return b"\n".join(lines)
+
+    return mutate
+
+
+def _insert(piece: bytes):
+    def mutate(rng: random.Random, data: bytes) -> bytes:
+        at = rng.randrange(len(data) + 1)
+        return data[:at] + piece + data[at:]
+
+    return mutate
+
+
+def _flip(rng: random.Random, data: bytes) -> bytes:
+    at = rng.randrange(len(data))
+    return data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1 :]
+
+
+def _tab_space(rng: random.Random, data: bytes) -> bytes:
+    old, new = rng.choice(((b"\t", b" "), (b" ", b"\t")))
+    places = [i for i, byte in enumerate(data) if byte == old[0]]
+    if not places:
+        return data
+    at = rng.choice(places)
+    return data[:at] + new + data[at + 1 :]
+
+
+MUTATIONS = {
+    "flip": _flip,
+    "truncate": lambda rng, data: data[: rng.randrange(len(data))],
+    "delete-line": _lines_mutation("delete"),
+    "duplicate-line": _lines_mutation("duplicate"),
+    "swap-lines": _lines_mutation("swap"),
+    "nul": _insert(b"\0"),
+    "cr": _insert(b"\r"),
+    "bom": lambda rng, data: b"\xef\xbb\xbf" + data,
+    "xff": _insert(b"\xff"),
+    "tab-space": _tab_space,
+}
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_mutated_corpus_keeps_the_contract(seed, corpus_copy, tmp_path, monkeypatch, capsys):
+    rng = random.Random(seed)
+    (corpus_copy / TAGS_FILE).write_bytes(b"BINDTAGS imp,pv\nALIGNTAGS abs-opp,incomp\n")
+    target, kind = rng.choice(TARGETS), rng.choice(sorted(MUTATIONS))
+    path = corpus_copy / target
+    path.write_bytes(MUTATIONS[kind](rng, path.read_bytes()))
+    monkeypatch.setenv("FUSE_TAGS", str(corpus_copy / TAGS_FILE))
+    loaded = []
+
+    def load_and_keep(manifest_path, registry=None):
+        loaded.append(load_corpus(manifest_path, registry))
+        return loaded[-1]
+
+    monkeypatch.setattr(fusetb.cli, "load_corpus", load_and_keep)
+    manifest = str(corpus_copy / "corpus.manifest")
+    out_dir = tmp_path / "exported"
+    for argv in (["validate", manifest], ["export", manifest, "--out", str(out_dir)]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2) and out == "", (target, kind, argv[0])
+        for line in filter(None, err.split("\n")):  # LF only: a message may hold other line breaks
+            _, diag_code, location, _ = line.split("\t", 3)
+            assert diag_code in README_CODES, (target, kind, line)
+            assert location.startswith((str(corpus_copy), str(out_dir))), (target, kind, line)
+            file, _, lineno = location.rpartition(":")
+            if lineno.isdigit():
+                assert 1 <= int(lineno) <= Path(file).read_bytes().count(b"\n") + 1, (target, kind, line)
+    if code == 0:
+        monkeypatch.delenv("FUSE_TAGS")
+        exported, diags = load_corpus(out_dir / "corpus.manifest")
+        assert exported == loaded[-1][0], (target, kind, [d.render() for d in diags])
