@@ -78,7 +78,8 @@ def cmd_query(corpus, args) -> int:
         query = parse_query(args.query)
         rows = run_query(corpus, query)
     except QueryError as exc:
-        print(exc, file=sys.stderr)
+        message = str(exc).removeprefix(f"{exc.code}: ")
+        _print_diags([Diagnostic.error(exc.code, args.manifest, message)])
         return EXIT_ERRORS
     _print_rows(COLUMNS[query.command], rows, args.json)
     return EXIT_OK
@@ -126,8 +127,8 @@ def cmd_suggest(corpus, args) -> int:
     used = [r for r in (args.used.split(",") if args.used else []) if r]
     try:
         suggestions = suggest_roles(corpus, args.lang, args.group, used)
-    except ResolutionError as exc:
-        print(f"ERROR\t{exc}", file=sys.stderr)
+    except ResolutionError as exc:  # an unknown --lang
+        _print_diags([Diagnostic.error("E-Q-KEY", args.manifest, str(exc))])
         return EXIT_ERRORS
     if args.json:
         for s in suggestions:

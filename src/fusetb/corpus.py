@@ -389,13 +389,12 @@ def compute_stats(corpus: ParallelCorpus) -> CorpusStats:
                 if key in seen_keys or not corpus.has_sentence(key):
                     continue
                 seen_keys.add(key)
-                aligned = pair_set.aligned.get(key, frozenset())
-                for ref in corpus.sentence(key).element_refs():
-                    if ref not in aligned:
-                        if ref.is_predicate:
-                            unaligned_preds[lang] += 1
-                        else:
-                            unaligned_args[lang] += 1
+                ann = corpus.sentence(key)
+                # unaligned = declared - aligned; an alignment to an undeclared element counts for nothing
+                aligned = [r.is_predicate for r in pair_set.aligned.get(key, ()) if ann.has_element(r)]
+                n_preds = sum(aligned)
+                unaligned_preds[lang] += len(ann.predicates) - n_preds
+                unaligned_args[lang] += len(ann.arguments) - (len(aligned) - n_preds)
         set_stats.append(
             PairSetStats(
                 left_lang=pair_set.left_lang,

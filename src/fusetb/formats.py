@@ -302,21 +302,23 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
     return trees
 
 
-def _edge_text(edge: str | None) -> str:
-    return edge if edge is not None else "--"
-
-
 def serialize_trees(trees) -> str:
-    """Canonical .tb text: one block per tree, in the given order."""
+    """Canonical .tb text: one block per tree, in the given order; an absent edge is ``--``."""
     out: list[str] = []
     for tree in trees:
-        out.append(f"#BOS {tree.sentence_id}")
-        for tok in tree.tokens:
-            out.append(f"{tok.form}\t{tok.pos}\t{_edge_text(tok.edge)}\t{tok.parent}")
-        for nt in tree.nonterminals:
-            out.append(f"#{nt.id}\t{nt.category}\t{_edge_text(nt.edge)}\t{nt.parent}")
-        out.append(f"#EOS {tree.sentence_id}")
-    return "".join(line + "\n" for line in out)
+        sid = tree.sentence_id
+        out.append(f"#BOS {sid}")
+        out += [
+            f"{t.form}\t{t.pos}\t{'--' if t.edge is None else t.edge}\t{t.parent}"
+            for t in tree.tokens
+        ]
+        out += [
+            f"#{n.id}\t{n.category}\t{'--' if n.edge is None else n.edge}\t{n.parent}"
+            for n in tree.nonterminals
+        ]
+        out.append(f"#EOS {sid}")
+    out.append("")
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -467,18 +469,21 @@ def parse_predarg(
 
 
 def _refs_text(refs: frozenset[NodeRef]) -> str:
-    return ",".join(str(r) for r in sorted(refs, key=lambda r: r.sort_key))
+    if len(refs) == 1:
+        [ref] = refs
+        return f"{ref.kind}{ref.num}"
+    return ",".join(f"{r.kind}{r.num}" for r in sorted(refs, key=lambda r: r.sort_key))
 
 
 def _binding_suffix(binding: Binding | None) -> str:
     if binding is None:
         return ""
-    parts = [f" nodes={_refs_text(binding.included)}"]
+    text = f" nodes={_refs_text(binding.included)}"
     if binding.excluded:
-        parts.append(f" excl={_refs_text(binding.excluded)}")
+        text += f" excl={_refs_text(binding.excluded)}"
     if binding.tags:
-        parts.append(f" tags={','.join(sorted(binding.tags))}")
-    return "".join(parts)
+        text += f" tags={','.join(sorted(binding.tags))}"
+    return text
 
 
 def serialize_predarg(annotations) -> str:
@@ -491,19 +496,21 @@ def serialize_predarg(annotations) -> str:
     out: list[str] = []
     for sid, pa in annotations.items():
         out.append(f"#SENT {sid}")
-        by_target: dict[ElemRef, Binding] = {b.target: b for b in pa.bindings}
+        # keyed by (pred_id, role), which hashes in C, as MonolingualAnnotation does
+        by_target = {(b.target.pred_id, b.target.role): b for b in pa.bindings}
+        args_of: dict[str, list[str]] = {}
+        for arg in pa.arguments:
+            suffix = _binding_suffix(by_target.get((arg.pred_id, arg.role)))
+            args_of.setdefault(arg.pred_id, []).append(f"ARG {arg.pred_id} role={arg.role}{suffix}")
         for pred in pa.predicates:
-            suffix = _binding_suffix(by_target.get(ElemRef(pred.pred_id)))
+            suffix = _binding_suffix(by_target.get((pred.pred_id, None)))
             out.append(
                 f"PRED {pred.pred_id} lemma={pred.lemma} class={pred.syn_class}"
                 f" group={pred.group}{suffix}"
             )
-            for arg in pa.arguments:
-                if arg.pred_id != pred.pred_id:
-                    continue
-                suffix = _binding_suffix(by_target.get(ElemRef(arg.pred_id, arg.role)))
-                out.append(f"ARG {arg.pred_id} role={arg.role}{suffix}")
-    return "".join(line + "\n" for line in out)
+            out += args_of.get(pred.pred_id, ())
+    out.append("")
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

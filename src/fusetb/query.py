@@ -152,7 +152,14 @@ def check_query(query: Query) -> None:
 
 
 def _matches(attrs: dict, filters: tuple[Filter, ...]) -> bool:
+    """Whether attrs pass every filter on one of their keys; filters on other keys are skipped.
+
+    A runner checks each filter at the scope that fixes its key (lang once per
+    treebank, kind once per language), so every allowed key is checked exactly once.
+    """
     for f in filters:
+        if f.key not in attrs:
+            continue
         raw = attrs[f.key]
         if isinstance(raw, frozenset):
             hit = f.value in raw
@@ -271,34 +278,40 @@ def _run_unaligned(corpus, filters):
     index = corpus.aligned
     rows = []
     for lang in corpus.languages:
+        if not _matches({"lang": lang}, filters):
+            continue
+        want_preds = _matches({"kind": "pred"}, filters)
+        want_args = _matches({"kind": "arg"}, filters)
         for ann in corpus.treebanks[lang]:
-            aligned = index.get(f"{lang}:{ann.sentence_id}", frozenset())
-            for ref in ann.element_refs():
-                if ref in aligned:
-                    continue
-                kind = "pred" if ref.is_predicate else "arg"
-                attrs = {"kind": kind, "lang": lang}
-                if not _matches(attrs, filters):
-                    continue
-                element = ann.element(ref)
-                rows.append({
-                    "lang": lang,
-                    "sent": ann.sentence_id,
-                    "ref": str(ref),
-                    "kind": kind,
-                    "label": element.lemma if ref.is_predicate else element.role,
-                })
+            sid = ann.sentence_id
+            aligned = index.get(f"{lang}:{sid}", frozenset())
+            # element_refs() lists the predicates' refs, then the arguments'
+            refs = ann.element_refs()
+            if want_preds:
+                rows += [
+                    {"lang": lang, "sent": sid, "ref": p.pred_id, "kind": "pred", "label": p.lemma}
+                    for ref, p in zip(refs, ann.predicates)
+                    if ref not in aligned
+                ]
+            if want_args:
+                rows += [
+                    {"lang": lang, "sent": sid, "ref": f"{a.pred_id}.{a.role}", "kind": "arg",
+                     "label": a.role}
+                    for ref, a in zip(refs[len(ann.predicates):], ann.arguments)
+                    if ref not in aligned
+                ]
     return rows
 
 
 def _run_realizations(corpus, filters):
     rows = []
     for lang in corpus.languages:
+        if not _matches({"lang": lang}, filters):
+            continue
         for ann in corpus.treebanks[lang]:
             for arg in ann.arguments:
                 pred = ann.predicate(arg.pred_id)
-                attrs = {"lang": lang, "group": pred.group, "role": arg.role}
-                if not _matches(attrs, filters):
+                if not _matches({"group": pred.group, "role": arg.role}, filters):
                     continue
                 binding = ann.binding_for(ElemRef(arg.pred_id, arg.role))
                 covered = resolve_yield(ann.tree, binding)
@@ -317,10 +330,11 @@ def _run_realizations(corpus, filters):
 def _run_frames(corpus, filters):
     counts: dict[tuple, int] = {}
     for lang in corpus.languages:
+        if not _matches({"lang": lang}, filters):
+            continue
         for ann in corpus.treebanks[lang]:
             for pred in ann.predicates:
-                attrs = {"lang": lang, "lemma": pred.lemma, "group": pred.group}
-                if not _matches(attrs, filters):
+                if not _matches({"lemma": pred.lemma, "group": pred.group}, filters):
                     continue
                 tags = ann.binding_for(ElemRef(pred.pred_id)).tags
                 frame = tuple(sorted(a.role for a in ann.arguments_of(pred.pred_id)))

@@ -225,10 +225,8 @@ QUERY_OPTIONAL_KEYS = {
 }
 
 
-def random_query_filters(rng, command: str, corpus: ParallelCorpus):
-    """Random filter tuple for a command, drawing values from the corpus."""
-    from fusetb.query import Filter
-
+def value_pools(corpus: ParallelCorpus) -> dict[str, list[str]]:
+    """Candidate values of every filter key, drawn from the corpus where it has them."""
     lemmas = sorted(
         {p.lemma for anns in corpus.treebanks.values() for a in anns for p in a.predicates}
     )
@@ -238,7 +236,7 @@ def random_query_filters(rng, command: str, corpus: ParallelCorpus):
     roles = sorted(
         {a.role for anns in corpus.treebanks.values() for ann in anns for a in ann.arguments}
     )
-    pools = {
+    return {
         "class": ["v", "n", "a"],
         "aligned-class": ["v", "n", "a"],
         "tag": ["pv", "imp"],
@@ -251,6 +249,30 @@ def random_query_filters(rng, command: str, corpus: ParallelCorpus):
         "lang": list(corpus.treebanks),
         "role": roles or ["AGENT"],
     }
+
+
+def required_filters(command: str, corpus: ParallelCorpus):
+    """Each set of positive filters the command requires, with values from the corpus."""
+    from fusetb.model import group_roles
+    from fusetb.query import Filter
+
+    pools = value_pools(corpus)
+    if command == "unaligned":
+        return [(Filter("kind", False, kind),) for kind in pools["kind"]]
+    if command == "realizations":
+        pairs = sorted({pair for anns in corpus.treebanks.values() for pair in group_roles(anns)})
+        pairs = pairs[:3] or [("GEBEN", "AGENT")]
+        return [(Filter("group", False, g), Filter("role", False, r)) for g, r in pairs]
+    if command == "frames":
+        return [(Filter(key, False, pools[key][0]),) for key in ("lemma", "group")]
+    return [()]
+
+
+def random_query_filters(rng, command: str, corpus: ParallelCorpus):
+    """Random filter tuple for a command, drawing values from the corpus."""
+    from fusetb.query import Filter
+
+    pools = value_pools(corpus)
     filters = []
     if command == "unaligned":
         filters.append(Filter("kind", False, rng.choice(pools["kind"])))

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 import fusetb.cli
 from fusetb.cli import main
 from fusetb.corpus import load_corpus, parse_manifest, parse_tag_registry
+from fusetb.model import TagRegistry
 
 from .conftest import FIXTURES, FIXTURE_FILES, mutate_file
+from .generators import random_corpus, write_corpus_files
 
 MANIFEST = str(FIXTURES / "corpus.manifest")
 
@@ -290,3 +294,55 @@ def test_fuse_tags_env_extends_registry(corpus_copy, monkeypatch, capsys):
     monkeypatch.setenv("FUSE_TAGS", str(registry))
     assert main(["validate", str(corpus_copy / "corpus.manifest")]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["query", MANIFEST, "bogus x=1"],
+            f"ERROR\tE-Q-SYNTAX\t{MANIFEST}\tunknown command 'bogus' (at position 0)",
+        ),
+        (
+            ["query", MANIFEST, "preds class"],
+            f"ERROR\tE-Q-SYNTAX\t{MANIFEST}\tmalformed filter 'class' (at position 6)",
+        ),
+        (
+            ["query", MANIFEST, "unaligned lang=en"],
+            f"ERROR\tE-Q-KEY\t{MANIFEST}\tunaligned requires kind=pred or kind=arg",
+        ),
+        (
+            ["suggest", MANIFEST, "--lang", "xx", "--group", "GIVE"],
+            f"ERROR\tE-Q-KEY\t{MANIFEST}\tunknown language 'xx'",
+        ),
+    ],
+)
+def test_query_and_suggest_errors_are_diagnostic_lines(argv, line, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", line + "\n")
+
+
+def _export_files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_export_is_lossless_and_canonical(tmp_path, capsys):
+    """The export validates like its source, reloads equal to it, and exports to the same bytes."""
+    rng = random.Random(64)
+    sources = [(MANIFEST, load_corpus(MANIFEST)[0])]
+    wider = TagRegistry(frozenset({"pv", "imp", "caus"}), frozenset({"abs-opp", "incomp", "lit"}))
+    for i in range(24):
+        corpus = random_corpus(rng, max_sents=4, registry=wider if i % 2 else TagRegistry())
+        directory = tmp_path / f"src{i}"
+        directory.mkdir()
+        sources.append((write_corpus_files(corpus, directory), corpus))
+    for i, (manifest, corpus) in enumerate(sources):
+        first, second = tmp_path / f"first{i}", tmp_path / f"second{i}"
+        assert main(["export", manifest, "--out", str(first)]) == 0
+        exported = str(first / Path(manifest).name)
+        assert main(["validate", exported]) == main(["validate", manifest])
+        assert load_corpus(exported)[0] == corpus
+        assert main(["export", exported, "--out", str(second)]) == 0
+        assert _export_files(second) == _export_files(first)
+        assert capsys.readouterr().out == ""

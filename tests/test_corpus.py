@@ -320,3 +320,46 @@ def test_unvalidated_corpus_is_not_equal_only_because_of_flag(fixture_corpus):
 
     unmarked = dataclasses.replace(fixture_corpus, validated=False)
     assert unmarked == fixture_corpus
+
+
+def test_unaligned_stats_of_a_hand_built_unvalidated_corpus():
+    """An alignment to an undeclared element or sentence counts for nothing."""
+    from fusetb.model import (
+        Alignment,
+        Argument,
+        ElemRef,
+        MonolingualAnnotation,
+        PairSet,
+        ParallelCorpus,
+        Predicate,
+        SentencePairAlignment,
+        SentenceTree,
+        Token,
+    )
+
+    def ann(sid, preds, args):
+        tree = SentenceTree(sid, (Token(1, "w", "NN"),))
+        return MonolingualAnnotation(
+            tree,
+            tuple(Predicate(p, "GIVE", "v", "GIVE") for p in preds),
+            tuple(Argument(p, r) for p, r in args),
+        )
+
+    en = (ann("s1", ["p1", "p2"], [("p1", "AGENT"), ("p1", "THEME")]), ann("s2", ["p1"], []))
+    de = (ann("s1", ["p1"], [("p1", "AGENT")]), ann("s3", ["p1"], []))
+    pairs = (
+        SentencePairAlignment("en:s1", "de:s1", (
+            Alignment("pred", ElemRef("p1"), ElemRef("p1")),
+            Alignment("pred", ElemRef("p9"), ElemRef("p1")),
+            Alignment("arg", ElemRef("p1", "AGENT"), ElemRef("p1", "NOSUCH")),
+            Alignment("arg", ElemRef("p1", "GHOST"), ElemRef("p1", "AGENT")),
+        )),
+        SentencePairAlignment("en:s2", "de:s9", (Alignment("pred", ElemRef("p1"), ElemRef("p7")),)),
+    )
+    corpus = ParallelCorpus({"en": en, "de": de}, (PairSet("en", "de", pairs),))
+    assert not corpus.validated
+    [stats] = compute_stats(corpus).pair_sets
+    assert stats.unaligned_predicates == {"en": 1, "de": 0}
+    assert stats.unaligned_arguments == {"en": 1, "de": 0}
+    expected = oracle_unaligned_counts(corpus, corpus.pair_sets[0])
+    assert (stats.unaligned_predicates, stats.unaligned_arguments) == expected

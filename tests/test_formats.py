@@ -328,3 +328,15 @@ def test_comments_ignored_inside_blocks():
     assert len(parse_trees(text)) == 1
     text = "#SENT s1\n%% c\nPRED p1 lemma=X class=v group=X nodes=t1\n"
     assert len(parse_predarg(text)["s1"].predicates) == 1
+
+
+def test_serialize_predarg_hashes_no_elem_ref(fixture_corpus, monkeypatch):
+    def no_hash(self):
+        raise AssertionError(f"hashed {self}")
+
+    monkeypatch.setattr(ElemRef, "__hash__", no_hash)
+    for lang, anns in fixture_corpus.treebanks.items():
+        expected = (FIXTURES / f"{lang}.pa").read_text(encoding="utf-8")
+        assert serialize_predarg({a.sentence_id: a for a in anns}) == expected
+        predarg = {a.sentence_id: PredArg(a.predicates, a.arguments, a.bindings) for a in anns}
+        assert serialize_predarg(predarg) == expected

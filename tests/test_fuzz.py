@@ -1,8 +1,10 @@
 """Seeded fuzzing of the read/write contract on mutated fixture copies.
 
 Each case copies the fixture corpus plus a FUSE_TAGS registry, applies
-one seeded mutation to one of the files and runs `fuse validate` and
-`fuse export`. No exception may escape, the exit code is 0, 1 or 2,
+one seeded mutation to one of the files and runs `fuse validate`,
+`fuse stats` (TSV and JSON), `fuse suggest`, one `fuse query` of a
+command the case picks and `fuse export`. No exception may escape, the
+exit code is 0, 1 or 2, a failing subcommand writes nothing to stdout,
 every diagnostic code is one README documents, every diagnostic names a
 file of the corpus or the export with a line inside that file, and an
 export that succeeds must validate and reload equal to the corpus it was
@@ -28,6 +30,14 @@ CASES = 100
 README_CODES = set(_README_CODE_RE.findall((REPO_ROOT / "README.md").read_text(encoding="utf-8")))
 TAGS_FILE = "tags.registry"
 TARGETS = FIXTURE_FILES + (TAGS_FILE,)
+# one query per command, each with rows on the unmutated fixture
+QUERIES = {
+    "preds": "preds class=v",
+    "aligns": "aligns kind=arg atag!=incomp",
+    "unaligned": "unaligned kind=arg lang=en",
+    "realizations": "realizations group=GIVE role=GIVER",
+    "frames": "frames group=GIVE lang!=de",
+}
 
 
 def _lines_mutation(op):
@@ -98,10 +108,20 @@ def test_mutated_corpus_keeps_the_contract(seed, corpus_copy, tmp_path, monkeypa
     monkeypatch.setattr(fusetb.cli, "load_corpus", load_and_keep)
     manifest = str(corpus_copy / "corpus.manifest")
     out_dir = tmp_path / "exported"
-    for argv in (["validate", manifest], ["export", manifest, "--out", str(out_dir)]):
+    runs = (
+        ["validate", manifest],
+        ["stats", manifest],
+        ["stats", manifest, "--json"],
+        ["suggest", manifest, "--lang", "en", "--group", "GIVE"],
+        ["query", manifest, QUERIES[rng.choice(sorted(QUERIES))]],
+        ["export", manifest, "--out", str(out_dir)],
+    )
+    for argv in runs:
         code = main(argv)
         out, err = capsys.readouterr()
-        assert code in (0, 1, 2) and out == "", (target, kind, argv[0])
+        assert code in (0, 1, 2), (target, kind, argv)
+        if code or argv[0] in ("validate", "export"):
+            assert out == "", (target, kind, argv)
         for line in filter(None, err.split("\n")):  # LF only: a message may hold other line breaks
             _, diag_code, location, _ = line.split("\t", 3)
             assert diag_code in README_CODES, (target, kind, line)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fusetb.query import (
+    FILTER_KEYS,
     CorpusNotValidatedError,
     Filter,
     Query,
@@ -18,6 +19,8 @@ from .oracles import (
     QUERY_OPTIONAL_KEYS,
     assert_query_matches_oracle,
     random_query_filters,
+    required_filters,
+    value_pools,
 )
 
 
@@ -175,3 +178,58 @@ def test_query_results_match_exhaustive_scan():
         for command in QUERY_OPTIONAL_KEYS:
             filters = random_query_filters(rng, command, corpus)
             assert_query_matches_oracle(corpus, command, filters)
+
+
+def filter_key_cases(corpus):
+    """(command, filters) for every key of every command: a positive filter, a negated
+    one and a contradictory pair, each added to every required filter set."""
+    pools = value_pools(corpus)
+    for command, keys in FILTER_KEYS.items():
+        for base in required_filters(command, corpus):
+            for key in keys:
+                for value in pools[key]:
+                    positive, negated = Filter(key, False, value), Filter(key, True, value)
+                    for extra in ((positive,), (negated,), (positive, negated)):
+                        yield command, base + extra
+
+
+def test_every_filter_key_matches_the_oracle_at_its_scope(fixture_corpus):
+    rng = random.Random(91)
+    corpora = [fixture_corpus] + [random_corpus(rng) for _ in range(8)]
+    n_cases = n_contradictory = 0
+    for corpus in corpora:
+        for command, filters in filter_key_cases(corpus):
+            assert_query_matches_oracle(corpus, command, filters)
+            n_cases += 1
+            last = filters[-1]
+            if last.negated and Filter(last.key, False, last.value) in filters:
+                assert run_query(corpus, Query(command, filters)) == [], (command, filters)
+                n_contradictory += 1
+    assert n_cases > 2000 and n_contradictory > 700, (n_cases, n_contradictory)
+
+
+class _Tripwire:
+    """Stands in for an annotation that a query must not read."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read {name} of an annotation outside the lang filter")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "unaligned kind=arg lang=en",
+        "unaligned kind=pred lang!=de",
+        "realizations group=GIVE role=GIVER lang=en",
+        "realizations group=SAFEGUARD role=SAFEGUARDER lang!=de",
+        "frames group=GIVE lang=en",
+        "frames lemma=DISCUSS lang!=de",
+    ],
+)
+def test_lang_filter_reads_no_annotation_of_another_language(fixture_corpus, text):
+    import dataclasses
+
+    expected = run_query(fixture_corpus, parse_query(text))
+    guarded = dataclasses.replace(fixture_corpus)
+    guarded.treebanks["de"] = tuple(_Tripwire() for _ in guarded.treebanks["de"])
+    assert run_query(guarded, parse_query(text)) == expected != []
