@@ -26,7 +26,6 @@ from .model import (
     EmptyYieldError,
     MonolingualAnnotation,
     NodeRef,
-    NonTerminal,
     PairSet,
     ParallelCorpus,
     Predicate,
@@ -34,7 +33,6 @@ from .model import (
     SentencePairAlignment,
     SentenceTree,
     TagRegistry,
-    Token,
     element_of,
     is_discontinuous,
     node_yield,

@@ -55,12 +55,10 @@ from .model import (
     Binding,
     ElemRef,
     NodeRef,
-    NonTerminal,
     Predicate,
     SentencePairAlignment,
     SentenceTree,
     TagRegistry,
-    Token,
     is_pred_id,
     is_uppercase_name,
     sort_elements,
@@ -148,6 +146,15 @@ def _lines(text: str, filename: str, strict: bool = True):
 
 
 @lru_cache(maxsize=4096)
+def _shared_number(text: str) -> int | None:
+    """One shared int per parent or nonterminal id written in ASCII digits, else None."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+@lru_cache(maxsize=4096)
 def _shared_label(text: str) -> str | None:
     """One shared string per valid POS, category or edge label (small inventories), else None."""
     return sys.intern(text) if _LABEL_RE.match(text) else None
@@ -167,61 +174,58 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
     """Parse a .tb document into SentenceTrees, in file order."""
     trees: list[SentenceTree] = []
     seen_sids: set[str] = set()
+    shared_forms: dict[str, str] = {}  # one string per distinct form in this file
     sid = None
     sid_line = 0
-    tokens: list[Token] = []
-    nonterminals: list[NonTerminal] = []
-    # declaration lines per node; terminals keyed by negative index so the
-    # two id spaces share one map
-    node_lines: dict[int, int] = {}
-    in_nt_section = False
+    # one entry per node in column order (terminals, then nonterminals)
+    forms: list[str] = []
+    nt_ids: list[int] = []
+    labels: list[str] = []
+    edges: list[str | None] = []
+    parents: list[int] = []
+    lines: list[int] = []
 
     def finish(end_line: int):
-        if not tokens:
+        if not forms:
             _err("E-SYNTAX", filename, end_line, f"sentence {sid} has no terminals")
-        known = {nt.id for nt in nonterminals}
-        for tok in tokens:
-            if tok.parent != VIRTUAL_ROOT and tok.parent not in known:
+        n = len(forms)
+        known = set(nt_ids)
+        for pos, parent in enumerate(parents):
+            if parent != VIRTUAL_ROOT and parent not in known:
+                node = f"token {pos + 1}" if pos < n else f"node {nt_ids[pos - n]}"
                 _err(
                     "E-PARENT-UNKNOWN",
                     filename,
-                    node_lines[-tok.index],
-                    f"sentence {sid}: token {tok.index} attached to unknown node {tok.parent}",
+                    lines[pos],
+                    f"sentence {sid}: {node} attached to unknown node {parent}",
                 )
-        for nt in nonterminals:
-            if nt.parent != VIRTUAL_ROOT and nt.parent not in known:
-                _err(
-                    "E-PARENT-UNKNOWN",
-                    filename,
-                    node_lines[nt.id],
-                    f"sentence {sid}: node {nt.id} attached to unknown node {nt.parent}",
-                )
-        parents = {nt.id: nt.parent for nt in nonterminals}
+        parent_of = dict(zip(nt_ids, parents[n:]))
         cleared: set[int] = set()
-        for nt in nonterminals:
+        for node_id in nt_ids:
             path: set[int] = set()
-            node_id = nt.id
             while node_id != VIRTUAL_ROOT and node_id not in cleared:
                 if node_id in path:
                     _err(
                         "E-TREE-CYCLE",
                         filename,
-                        node_lines[node_id],
+                        lines[n + nt_ids.index(node_id)],
                         f"sentence {sid}: cycle through node {node_id}",
                     )
                 path.add(node_id)
-                node_id = parents[node_id]
+                node_id = parent_of[node_id]
             cleared.update(path)
-        with_children = {tok.parent for tok in tokens} | {nt.parent for nt in nonterminals}
-        for nt in nonterminals:
-            if nt.id not in with_children:
+        with_children = set(parents)
+        for pos, node_id in enumerate(nt_ids):
+            if node_id not in with_children:
                 _err(
                     "E-NT-EMPTY",
                     filename,
-                    node_lines[nt.id],
-                    f"sentence {sid}: node {nt.id} has no children",
+                    lines[n + pos],
+                    f"sentence {sid}: node {node_id} has no children",
                 )
-        trees.append(SentenceTree(sid, tuple(tokens), tuple(nonterminals)))
+        trees.append(
+            SentenceTree(sid, tuple(forms), tuple(labels), tuple(edges), tuple(parents), tuple(nt_ids))
+        )
 
     for lineno, line in _lines(text, filename):
         if not line.strip():
@@ -239,8 +243,7 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
                 _err("E-SENT-DUP", filename, lineno, f"duplicate sentence id {new_sid}")
             seen_sids.add(new_sid)
             sid, sid_line = new_sid, lineno
-            tokens, nonterminals, node_lines = [], [], {}
-            in_nt_section = False
+            forms, nt_ids, labels, edges, parents, lines = [], [], [], [], [], []
             continue
         if line.startswith("#EOS"):
             if sid is None:
@@ -257,9 +260,9 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
         if len(fields) != 4:
             _err("E-SYNTAX", filename, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
         name, label, edge, parent_text = fields
-        if not parent_text.isdigit():
+        parent = _shared_number(parent_text)
+        if parent is None:
             _err("E-SYNTAX", filename, lineno, f"malformed parent reference {parent_text!r}")
-        parent = int(parent_text)
         if parent != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
             _err("E-SYNTAX", filename, lineno, f"parent must be 0 or a nonterminal id, got {parent}")
         label = _shared_label(label)
@@ -268,13 +271,10 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
         edge_label = _shared_label(edge)
         if edge_label is None:
             _err("E-SYNTAX", filename, lineno, "empty or malformed edge field")
-        if edge_label == "--":
-            edge_label = None
         if name.startswith("#"):
-            id_text = name[1:]
-            if not id_text.isdigit():
+            node_id = _shared_number(name[1:])
+            if node_id is None:
                 _err("E-SYNTAX", filename, lineno, f"malformed nonterminal id {name!r}")
-            node_id = int(id_text)
             if node_id < MIN_NONTERMINAL_ID:
                 _err(
                     "E-NODE-ID-RANGE",
@@ -282,21 +282,24 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
                     lineno,
                     f"nonterminal id {node_id} below {MIN_NONTERMINAL_ID}",
                 )
-            if node_id in node_lines:
+            if node_id in nt_ids:
                 _err("E-NODE-DUP", filename, lineno, f"duplicate nonterminal id {node_id}")
-            if nonterminals and node_id < nonterminals[-1].id:
+            if nt_ids and node_id < nt_ids[-1]:
                 _err("E-SYNTAX", filename, lineno, "nonterminal ids must be ascending")
-            in_nt_section = True
-            nonterminals.append(NonTerminal(node_id, label, edge_label, parent))
-            node_lines[node_id] = lineno
+            nt_ids.append(node_id)
         else:
-            if in_nt_section:
+            if nt_ids:
                 _err("E-SYNTAX", filename, lineno, "terminal line after nonterminal lines")
-            if not _LABEL_RE.match(name):
-                _err("E-SYNTAX", filename, lineno, "empty token form or whitespace in form")
-            index = len(tokens) + 1
-            tokens.append(Token(index, name, label, edge_label, parent))
-            node_lines[-index] = lineno
+            form = shared_forms.get(name)
+            if form is None:
+                if not _LABEL_RE.match(name):
+                    _err("E-SYNTAX", filename, lineno, "empty token form or whitespace in form")
+                form = shared_forms[name] = name
+            forms.append(form)
+        labels.append(label)
+        edges.append(None if edge_label == "--" else edge_label)
+        parents.append(parent)
+        lines.append(lineno)
     if sid is not None:
         _err("E-SYNTAX", filename, sid_line, f"sentence {sid} not closed by #EOS")
     return trees
@@ -308,13 +311,10 @@ def serialize_trees(trees) -> str:
     for tree in trees:
         sid = tree.sentence_id
         out.append(f"#BOS {sid}")
+        names = tree.tokens + tuple(f"#{node_id}" for node_id in tree.nt_ids)
         out += [
-            f"{t.form}\t{t.pos}\t{'--' if t.edge is None else t.edge}\t{t.parent}"
-            for t in tree.tokens
-        ]
-        out += [
-            f"#{n.id}\t{n.category}\t{'--' if n.edge is None else n.edge}\t{n.parent}"
-            for n in tree.nonterminals
+            f"{name}\t{label}\t{'--' if edge is None else edge}\t{parent}"
+            for name, label, edge, parent in zip(names, tree.labels, tree.edges, tree.parents)
         ]
         out.append(f"#EOS {sid}")
     out.append("")
@@ -351,14 +351,17 @@ def _split_kv(fields: list[str], allowed: tuple[str, ...], filename: str, lineno
     return kv
 
 
+@lru_cache(maxsize=4096)
+def _shared_node_set(value: str) -> frozenset[NodeRef]:
+    """One shared frozenset per distinct nodes=/excl= value; ValueError names a malformed ref."""
+    return frozenset(map(NodeRef.parse, value.split(",")))
+
+
 def _parse_refs(value: str, filename: str, lineno: int) -> frozenset[NodeRef]:
-    refs = []
-    for part in value.split(","):
-        try:
-            refs.append(NodeRef.parse(part))
-        except ValueError as exc:
-            _err("E-REF-SYNTAX", filename, lineno, str(exc))
-    return frozenset(refs)
+    try:
+        return _shared_node_set(value)
+    except ValueError as exc:
+        _err("E-REF-SYNTAX", filename, lineno, str(exc))
 
 
 def _parse_tags(value: str, registry: TagRegistry, filename: str, lineno: int) -> frozenset[str]:

@@ -1,7 +1,7 @@
 """In-memory model of layered parallel-treebank annotation.
 
 A corpus is built from four layers per language pair: constituent trees
-(terminals plus nonterminal nodes with edge labels), predicate-argument
+(tuples of forms, labels, edges and parent ids), predicate-argument
 structures (predicates with class and group, role-named arguments),
 a binding layer attaching each predicate/argument to tree nodes (with
 optional excluded sub-nodes and binding tags), and a cross-lingual
@@ -20,6 +20,7 @@ Equal immutable leaves may be shared objects: NodeRef.parse, terminal and
 nonterminal return one NodeRef per (kind, num) from a table of fixed size,
 every empty Binding.excluded and Binding.tags is one frozenset, and an
 annotation's element refs are its bindings' targets where it has them.
+The parsers add equal node sets, labels, forms within a file and node ids.
 Identity is not part of the API; compare with ==.
 """
 
@@ -139,65 +140,45 @@ class ElemRef:
         return self.pred_id if self.role is None else f"{self.pred_id}.{self.role}"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """A terminal: 1-based surface index, word form, POS label, edge to parent."""
-
-    index: int
-    form: str
-    pos: str
-    edge: str | None = None
-    parent: int = VIRTUAL_ROOT
-
-
-@dataclass(frozen=True, slots=True)
-class NonTerminal:
-    """A constituent node (id >= 500) with category, edge label and parent id."""
-
-    id: int
-    category: str
-    edge: str | None = None
-    parent: int = VIRTUAL_ROOT
-
-
 @dataclass(frozen=True)
 class SentenceTree:
-    """One sentence's tokens plus constituent structure, parent-linked.
+    """One sentence's constituent tree, stored as tuples of atoms.
 
-    Parent links address nonterminal ids or the virtual root (0). Lookup
-    indexes are built eagerly; the parsers guarantee structural invariants
+    `tokens` holds the word forms t1..tn. `labels`, `edges` and `parents`
+    hold one entry per node: the n terminals in surface order, then the
+    nonterminals in the order of `nt_ids`, which ascend. A label is a POS
+    for a terminal and a category for a nonterminal; an absent edge is
+    None; a parent is a nonterminal id or the virtual root (0). The child
+    index is built eagerly; the parsers guarantee structural invariants
     (unique ids, acyclicity, no childless nonterminals) for loaded data.
     """
 
     sentence_id: str
-    tokens: tuple[Token, ...]
-    nonterminals: tuple[NonTerminal, ...] = ()
-    _by_id: dict = field(init=False, repr=False, compare=False)
+    tokens: tuple[str, ...]
+    labels: tuple[str, ...]
+    edges: tuple[str | None, ...]
+    parents: tuple[int, ...]
+    nt_ids: tuple[int, ...] = ()
     _children: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        nts = tuple(sorted(self.nonterminals, key=lambda n: n.id))
-        object.__setattr__(self, "nonterminals", nts)
-        object.__setattr__(self, "_by_id", {nt.id: nt for nt in nts})
         children: dict[int, list[NodeRef]] = {}
-        for tok in self.tokens:
-            children.setdefault(tok.parent, []).append(NodeRef.terminal(tok.index))
-        for nt in nts:
-            children.setdefault(nt.parent, []).append(NodeRef.nonterminal(nt.id))
+        for ref, parent in zip(self.node_refs(), self.parents):
+            children.setdefault(parent, []).append(ref)
         object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
 
     def has_node(self, ref: NodeRef) -> bool:
         if ref.kind == "t":
             return 1 <= ref.num <= len(self.tokens)
-        return ref.num in self._by_id
+        return ref.num in self.nt_ids
 
-    def node(self, ref: NodeRef) -> Token | NonTerminal:
+    def parent_of(self, ref: NodeRef) -> int:
+        """The parent id of a node of this tree: a nonterminal id or 0 for the virtual root."""
         if ref.kind == "t":
             if 1 <= ref.num <= len(self.tokens):
-                return self.tokens[ref.num - 1]
-        elif ref.num in self._by_id:
-            return self._by_id[ref.num]
+                return self.parents[ref.num - 1]
+        elif ref.num in self.nt_ids:
+            return self.parents[len(self.tokens) + self.nt_ids.index(ref.num)]
         raise ResolutionError(f"sentence {self.sentence_id}: unknown node {ref}")
 
     def children_of(self, node_id: int) -> tuple[NodeRef, ...]:
@@ -205,10 +186,11 @@ class SentenceTree:
         return self._children.get(node_id, ())
 
     def node_refs(self):
-        for tok in self.tokens:
-            yield NodeRef.terminal(tok.index)
-        for nt in self.nonterminals:
-            yield NodeRef.nonterminal(nt.id)
+        """Every node in column order: terminals, then nonterminals."""
+        for index in range(1, len(self.tokens) + 1):
+            yield NodeRef.terminal(index)
+        for node_id in self.nt_ids:
+            yield NodeRef.nonterminal(node_id)
 
 
 def node_yield(tree: SentenceTree, ref: NodeRef) -> list[int]:
@@ -217,7 +199,7 @@ def node_yield(tree: SentenceTree, ref: NodeRef) -> list[int]:
     A terminal yields itself; a nonterminal yields every terminal reachable
     through child links.
     """
-    tree.node(ref)
+    tree.parent_of(ref)  # a node not in the tree raises ResolutionError
     if ref.kind == "t":
         return [ref.num]
     out: list[int] = []
@@ -239,16 +221,15 @@ def is_ancestor(tree: SentenceTree, ancestor: NodeRef, descendant: NodeRef) -> b
     """True if ancestor properly dominates descendant via parent links."""
     if ancestor.kind == "t":
         return False
-    parent = tree.node(descendant).parent
+    parent = tree.parent_of(descendant)
     seen = set()
     while parent != VIRTUAL_ROOT and parent not in seen:
         if parent == ancestor.num:
             return True
         seen.add(parent)
-        nt = tree._by_id.get(parent)
-        if nt is None:
+        if parent not in tree.nt_ids:
             return False
-        parent = nt.parent
+        parent = tree.parent_of(NodeRef.nonterminal(parent))
     return False
 
 
@@ -338,9 +319,10 @@ class MonolingualAnnotation:
         object.__setattr__(self, "_preds", {p.pred_id: p for p in preds})
         object.__setattr__(self, "_args", {(a.pred_id, a.role): a for a in args})
         # keyed by (pred_id, role), which hashes in C, like _args
-        by_target: dict[tuple[str, str | None], list[Binding]] = {}
+        by_target: dict[tuple[str, str | None], tuple[Binding, ...]] = {}
         for b in self.bindings:
-            by_target.setdefault((b.target.pred_id, b.target.role), []).append(b)
+            key = (b.target.pred_id, b.target.role)
+            by_target[key] = by_target.get(key, ()) + (b,)
         object.__setattr__(self, "_bindings", by_target)
         keys = [(p.pred_id, None) for p in preds]
         keys.extend((a.pred_id, a.role) for a in args)
@@ -376,7 +358,7 @@ class MonolingualAnnotation:
         return self._refs
 
     def bindings_for(self, ref: ElemRef) -> tuple[Binding, ...]:
-        return tuple(self._bindings.get((ref.pred_id, ref.role), ()))
+        return self._bindings.get((ref.pred_id, ref.role), ())
 
     def binding_for(self, ref: ElemRef) -> Binding:
         """The element's unique binding; validated data has exactly one."""

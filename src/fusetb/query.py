@@ -183,7 +183,7 @@ def render_covered(tree: SentenceTree, covered: list[int]) -> str:
     for index in covered:
         if prev is not None and index > prev + 1:
             parts.append("…")
-        parts.append(tree.tokens[index - 1].form)
+        parts.append(tree.tokens[index - 1])
         prev = index
     return " ".join(parts)
 

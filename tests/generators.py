@@ -21,14 +21,12 @@ from fusetb.model import (
     EmptyYieldError,
     MonolingualAnnotation,
     NodeRef,
-    NonTerminal,
     PairSet,
     ParallelCorpus,
     Predicate,
     SentencePairAlignment,
     SentenceTree,
     TagRegistry,
-    Token,
     is_ancestor,
     resolve_yield,
 )
@@ -74,15 +72,18 @@ def random_tree(rng: random.Random, sid: str, max_tokens: int = 8, max_nts: int 
         if not empty:
             break
         kept -= empty
-    tokens = tuple(
-        Token(i, rng.choice(FORMS), rng.choice(POS), rng.choice(EDGES), tok_parent[i])
-        for i in range(1, n_tokens + 1)
-    )
-    nts = tuple(
-        NonTerminal(i, rng.choice(["NP", "PP", "VP", "S"]), rng.choice(EDGES), nt_parent[i])
-        for i in sorted(kept)
-    )
-    return SentenceTree(sid, tokens, nts)
+    # a fixed order of draws keeps each seed's corpus the same
+    forms, labels, edges = [], [], []
+    for _ in range(n_tokens):
+        forms.append(rng.choice(FORMS))
+        labels.append(rng.choice(POS))
+        edges.append(rng.choice(EDGES))
+    nt_ids = tuple(sorted(kept))
+    for _ in nt_ids:
+        labels.append(rng.choice(["NP", "PP", "VP", "S"]))
+        edges.append(rng.choice(EDGES))
+    parents = [tok_parent[i] for i in range(1, n_tokens + 1)] + [nt_parent[i] for i in nt_ids]
+    return SentenceTree(sid, tuple(forms), tuple(labels), tuple(edges), tuple(parents), nt_ids)
 
 
 def random_binding(

@@ -13,24 +13,23 @@ from fusetb.model import Binding, ElemRef, ParallelCorpus, SentenceTree
 
 def brute_yield(tree: SentenceTree, ref) -> list[int]:
     """Terminals under ref, found by testing ancestorship of every terminal."""
-    nts = {nt.id: nt for nt in tree.nonterminals}
+    n = len(tree.tokens)
+    nt_parent = dict(zip(tree.nt_ids, tree.parents[n:]))
     out = []
-    for tok in tree.tokens:
+    for index, parent in enumerate(tree.parents[:n], 1):
         if ref.kind == "t":
-            if tok.index == ref.num:
-                out.append(tok.index)
+            if index == ref.num:
+                out.append(index)
             continue
-        parent = tok.parent
         seen = set()
         while parent != 0 and parent not in seen:
             if parent == ref.num:
-                out.append(tok.index)
+                out.append(index)
                 break
             seen.add(parent)
-            nt = nts.get(parent)
-            if nt is None:
+            if parent not in nt_parent:
                 break
-            parent = nt.parent
+            parent = nt_parent[parent]
     return sorted(out)
 
 

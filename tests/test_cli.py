@@ -266,6 +266,16 @@ def test_validate_rejects_crlf_tree_file(corpus_copy, capsys):
     ]
 
 
+def test_non_ascii_digit_parent_is_a_syntax_error(corpus_copy, capsys):
+    mutate_file(corpus_copy, "en.tb", "The\tDT\tNK\t501", "The\tDT\tNK\t\u00b2")
+    assert main(["validate", str(corpus_copy / "corpus.manifest")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"ERROR\tE-SYNTAX\t{corpus_copy / 'en.tb'}:2\tmalformed parent reference '\u00b2'"
+    ]
+
+
 def test_crlf_tag_registry_is_accepted(corpus_copy, monkeypatch, capsys):
     mutate_file(corpus_copy, "en-de.al", "tag=incomp", "tag=near-syn")
     registry = corpus_copy / "tags.registry"

@@ -334,11 +334,10 @@ def test_unaligned_stats_of_a_hand_built_unvalidated_corpus():
         Predicate,
         SentencePairAlignment,
         SentenceTree,
-        Token,
     )
 
     def ann(sid, preds, args):
-        tree = SentenceTree(sid, (Token(1, "w", "NN"),))
+        tree = SentenceTree(sid, ("w",), ("NN",), (None,), (0,))
         return MonolingualAnnotation(
             tree,
             tuple(Predicate(p, "GIVE", "v", "GIVE") for p in preds),

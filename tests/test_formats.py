@@ -38,11 +38,10 @@ def test_parse_trees_minimal_document():
     trees = parse_trees(text)
     assert len(trees) == 1
     tree = trees[0]
-    assert [t.form for t in tree.tokens] == ["Die", "Richtlinie"]
-    assert len(tree.nonterminals) == 1
-    nt = tree.nonterminals[0]
-    assert (nt.id, nt.category, nt.edge, nt.parent) == (502, "NP", "SB", 0)
-    assert tree.tokens[0].parent == 502
+    assert tree.tokens == ("Die", "Richtlinie")
+    assert tree.nt_ids == (502,)
+    assert (tree.labels[2], tree.edges[2], tree.parents[2]) == ("NP", "SB", 0)
+    assert tree.parents[0] == 502
 
 
 def test_parse_trees_empty_document():
@@ -105,6 +104,29 @@ def test_tb_syntax_errors(text):
     assert parse_error_code(parse_trees, text) == "E-SYNTAX"
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("#BOS s1\na\tNN\t--\t\u00b2\n#EOS s1\n", 2, "malformed parent reference '\u00b2'"),
+        ("#BOS s1\na\tNN\t--\t\u0665\u0663\u0660\n#EOS s1\n", 2, "malformed parent reference"),
+        (
+            "#BOS s1\na\tNN\t--\t530\n#5\u0663\u0660\tNP\t--\t0\n#EOS s1\n",
+            3,
+            "malformed nonterminal id '#5\u0663\u0660'",
+        ),
+        # more digits than int() converts
+        ("#BOS s1\na\tNN\t--\t" + "5" * 5000 + "\n#EOS s1\n", 2, "malformed parent reference"),
+    ],
+    ids=["superscript-parent", "arabic-indic-parent", "arabic-indic-node-id", "5000-digit-parent"],
+)
+def test_numeric_fields_take_only_ascii_digits(text, line, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_trees(text, filename="f")
+    diag = excinfo.value.diagnostic
+    assert (diag.code, diag.file, diag.line) == ("E-SYNTAX", "f", line)
+    assert diag.message.startswith(message)
+
+
 def test_tb_fixture_round_trip_is_byte_identical():
     for name in ("en.tb", "de.tb"):
         text = (FIXTURES / name).read_text(encoding="utf-8")
@@ -123,7 +145,7 @@ def test_input_is_nfc_normalized():
     assert decomposed != "wörter"
     text = f"#BOS s1\n{decomposed}\tNN\t--\t0\n#EOS s1\n"
     trees = parse_trees(text)
-    assert trees[0].tokens[0].form == "wörter"
+    assert trees[0].tokens[0] == "wörter"
 
 
 @pytest.mark.parametrize(

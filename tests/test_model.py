@@ -13,13 +13,11 @@ from fusetb.model import (
     EmptyYieldError,
     MonolingualAnnotation,
     NodeRef,
-    NonTerminal,
     PairSet,
     Predicate,
     ResolutionError,
     SentencePairAlignment,
     SentenceTree,
-    Token,
     element_of,
     is_discontinuous,
     node_yield,
@@ -33,13 +31,14 @@ from .oracles import brute_resolve, brute_yield
 def make_tree(n_tokens, nts):
     """nts: list of (id, parent); token parents given via tok_parents list."""
     ids, parents, tok_parents = nts
-    tokens = tuple(
-        Token(i + 1, f"w{i + 1}", "NN", None, tok_parents[i]) for i in range(n_tokens)
+    return SentenceTree(
+        "s1",
+        tuple(f"w{i}" for i in range(1, n_tokens + 1)),
+        ("NN",) * n_tokens + ("NP",) * len(ids),
+        (None,) * (n_tokens + len(ids)),
+        tuple(tok_parents) + tuple(parents),
+        tuple(ids),
     )
-    nonterminals = tuple(
-        NonTerminal(node_id, "NP", None, parent) for node_id, parent in zip(ids, parents)
-    )
-    return SentenceTree("s1", tokens, nonterminals)
 
 
 @pytest.fixture()
@@ -168,11 +167,11 @@ def test_element_refs_list_predicates_then_arguments(tree):
     )
 
 
-def test_value_types_have_no_instance_dict(tree):
+def test_value_types_have_no_instance_dict():
     binding = Binding(ElemRef("p1"), frozenset({NodeRef.parse("t1")}))
     alignment = Alignment("pred", ElemRef("p1"), ElemRef("p1"))
     for value in (
-        NodeRef.parse("t1"), ElemRef("p1"), tree.tokens[0], tree.nonterminals[0],
+        NodeRef.parse("t1"), ElemRef("p1"),
         Predicate("p1", "GEBEN", "v", "GEBEN"), Argument("p1", "AGENT"), binding, alignment,
     ):
         assert not hasattr(value, "__dict__"), type(value).__name__
@@ -229,5 +228,5 @@ def test_elem_ref_parse_and_str():
 
 
 def test_degenerate_single_token_sentence():
-    tree = SentenceTree("s1", (Token(1, "Ja", "ADV", None, 0),))
+    tree = SentenceTree("s1", ("Ja",), ("ADV",), (None,), (0,))
     assert node_yield(tree, NodeRef.parse("t1")) == [1]

@@ -14,7 +14,6 @@ from fusetb.model import (
     Predicate,
     ResolutionError,
     SentenceTree,
-    Token,
 )
 from fusetb.suggest import RoleSuggestion, suggest_roles
 
@@ -51,9 +50,7 @@ def test_already_used_roles_are_excluded_but_share_denominator_stays(fixture_cor
 
 
 def test_ordering_frequency_then_lexicographic():
-    tree = SentenceTree(
-        "s1", tuple(Token(i, f"w{i}", "NN", None, 0) for i in range(1, 7))
-    )
+    tree = SentenceTree("s1", tuple(f"w{i}" for i in range(1, 7)), ("NN",) * 6, (None,) * 6, (0,) * 6)
     preds = (Predicate("p1", "GEBEN", "v", "GEBEN"), Predicate("p2", "GABE", "n", "GEBEN"))
     args = (
         Argument("p1", "THEME"),
@@ -94,9 +91,7 @@ def test_matches_flat_count_oracle_on_random_corpora():
 
 def _with_extra_use(corpus, lang, group, role):
     """Corpus plus one sentence where `group` takes `role` once more."""
-    tree = SentenceTree(
-        "sx99", (Token(1, "w1", "NN", None, 0), Token(2, "w2", "NN", None, 0))
-    )
+    tree = SentenceTree("sx99", ("w1", "w2"), ("NN", "NN"), (None, None), (0, 0))
     extra = MonolingualAnnotation(
         tree,
         (Predicate("p1", "GEBEN", "v", group),),

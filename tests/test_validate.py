@@ -12,14 +12,12 @@ from fusetb.model import (
     Binding,
     ElemRef,
     MonolingualAnnotation,
-    NonTerminal,
     PairSet,
     ParallelCorpus,
     Predicate,
     SentencePairAlignment,
     SentenceTree,
     TagRegistry,
-    Token,
 )
 from fusetb.validate import (
     check_group_roles,
@@ -34,18 +32,14 @@ from .generators import random_corpus
 
 def small_tree(sid="s1"):
     # t1 under 500, t2 t3 under 501, 500 501 under 502, t4 at root
-    tokens = (
-        Token(1, "a", "NN", None, 500),
-        Token(2, "b", "NN", None, 501),
-        Token(3, "c", "NN", None, 501),
-        Token(4, "d", "NN", None, 0),
+    return SentenceTree(
+        sid,
+        ("a", "b", "c", "d"),
+        ("NN", "NN", "NN", "NN", "NP", "NP", "S"),
+        (None,) * 7,
+        (500, 501, 501, 0, 502, 502, 0),
+        (500, 501, 502),
     )
-    nts = (
-        NonTerminal(500, "NP", None, 502),
-        NonTerminal(501, "NP", None, 502),
-        NonTerminal(502, "S", None, 0),
-    )
-    return SentenceTree(sid, tokens, nts)
 
 
 def annotation(preds=(), args=(), binds=(), sid="s1"):
