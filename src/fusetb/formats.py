@@ -378,7 +378,7 @@ def _parse_tags(value: str, registry: TagRegistry, filename: str, lineno: int) -
 def _check_name(value: str, what: str, filename: str, lineno: int) -> str:
     if not is_uppercase_name(value):
         _err("E-CASE", filename, lineno, f"{what} {value!r} must be uppercase letters, _ or -")
-    return value
+    return sys.intern(value)  # lemmas, groups and roles come from small inventories
 
 
 def parse_predarg(
@@ -421,7 +421,7 @@ def parse_predarg(
         fields = line.split()
         if len(fields) < 2 or fields[0] not in ("PRED", "ARG"):
             _err("E-SYNTAX", filename, lineno, f"expected PRED or ARG line, got {line!r}")
-        pid = fields[1]
+        pid = sys.intern(fields[1])
         if not is_pred_id(pid):
             _err("E-REF-SYNTAX", filename, lineno, f"malformed predicate id {pid!r}")
         if fields[0] == "PRED":
@@ -440,8 +440,8 @@ def parse_predarg(
                 )
             lemma = _check_name(kv["lemma"], "lemma", filename, lineno)
             group = _check_name(kv["group"], "group", filename, lineno)
-            preds.append(Predicate(pid, lemma, kv["class"], group))
-            target = ElemRef(pid)
+            preds.append(Predicate(pid, lemma, sys.intern(kv["class"]), group))
+            target = ElemRef.of(pid)
         else:
             kv = _split_kv(fields[2:], ("role", "nodes", "excl", "tags"), filename, lineno)
             if "role" not in kv:
@@ -452,7 +452,7 @@ def parse_predarg(
             if any(a.pred_id == pid and a.role == role for a in args):
                 _err("E-ROLE-DUP", filename, lineno, f"duplicate role {role} for predicate {pid}")
             args.append(Argument(pid, role))
-            target = ElemRef(pid, role)
+            target = ElemRef.of(pid, role)
         if "excl" in kv and "nodes" not in kv:
             _err("E-SYNTAX", filename, lineno, "excl= requires nodes=")
         if "nodes" in kv:

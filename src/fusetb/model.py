@@ -17,10 +17,11 @@ on first read. Building one twice gives equal results, so a loaded corpus
 is safe to share across threads.
 
 Equal immutable leaves may be shared objects: NodeRef.parse, terminal and
-nonterminal return one NodeRef per (kind, num) from a table of fixed size,
-every empty Binding.excluded and Binding.tags is one frozenset, and an
-annotation's element refs are its bindings' targets where it has them.
-The parsers add equal node sets, labels, forms within a file and node ids.
+nonterminal return one NodeRef per (kind, num), ElemRef.parse and ElemRef.of
+one ElemRef per (pred_id, role), each from a table of fixed size; every
+empty Binding.excluded and Binding.tags is one frozenset. The parsers add
+equal node sets, labels, forms within a file, node ids and interned
+predicate ids and names. Trees keep no child index.
 Identity is not part of the API; compare with ==.
 """
 
@@ -57,6 +58,12 @@ EMPTY_FROZENSET: frozenset = frozenset()
 def _shared_node_ref(kind: str, num: int) -> "NodeRef":
     """One NodeRef per (kind, num); the fixed bound keeps unusual node numbering from growing it."""
     return NodeRef(kind, num)
+
+
+@lru_cache(maxsize=4096)
+def _shared_elem_ref(pred_id: str, role: str | None) -> "ElemRef":
+    """One ElemRef per (pred_id, role); bounded like _shared_node_ref."""
+    return ElemRef(pred_id, role)
 
 
 class ResolutionError(LookupError):
@@ -122,11 +129,14 @@ class ElemRef:
         pred_id, dot, role = text.partition(".")
         if not is_pred_id(pred_id):
             raise ValueError(f"malformed element reference {text!r}: bad predicate id")
-        if not dot:
-            return cls(pred_id)
-        if not is_uppercase_name(role):
+        if dot and not is_uppercase_name(role):
             raise ValueError(f"malformed element reference {text!r}: bad role name")
-        return cls(pred_id, role)
+        return _shared_elem_ref(pred_id, role if dot else None)
+
+    @classmethod
+    def of(cls, pred_id: str, role: str | None = None) -> "ElemRef":
+        """The shared ElemRef of a predicate, or of its argument with the given role."""
+        return _shared_elem_ref(pred_id, role)
 
     @property
     def is_predicate(self) -> bool:
@@ -140,7 +150,7 @@ class ElemRef:
         return self.pred_id if self.role is None else f"{self.pred_id}.{self.role}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceTree:
     """One sentence's constituent tree, stored as tuples of atoms.
 
@@ -148,9 +158,10 @@ class SentenceTree:
     hold one entry per node: the n terminals in surface order, then the
     nonterminals in the order of `nt_ids`, which ascend. A label is a POS
     for a terminal and a category for a nonterminal; an absent edge is
-    None; a parent is a nonterminal id or the virtual root (0). The child
-    index is built eagerly; the parsers guarantee structural invariants
-    (unique ids, acyclicity, no childless nonterminals) for loaded data.
+    None; a parent is a nonterminal id or the virtual root (0). There is
+    no stored child index: children and yields are read from `parents` on
+    each call. The parsers guarantee structural invariants (unique ids,
+    acyclicity, no childless nonterminals) for loaded data.
     """
 
     sentence_id: str
@@ -159,13 +170,6 @@ class SentenceTree:
     edges: tuple[str | None, ...]
     parents: tuple[int, ...]
     nt_ids: tuple[int, ...] = ()
-    _children: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        children: dict[int, list[NodeRef]] = {}
-        for ref, parent in zip(self.node_refs(), self.parents):
-            children.setdefault(parent, []).append(ref)
-        object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
 
     def has_node(self, ref: NodeRef) -> bool:
         if ref.kind == "t":
@@ -182,8 +186,8 @@ class SentenceTree:
         raise ResolutionError(f"sentence {self.sentence_id}: unknown node {ref}")
 
     def children_of(self, node_id: int) -> tuple[NodeRef, ...]:
-        """Direct children of a nonterminal id (or 0 for the virtual root)."""
-        return self._children.get(node_id, ())
+        """Direct children of a nonterminal id (or 0 for the virtual root), in column order."""
+        return tuple(ref for ref, parent in zip(self.node_refs(), self.parents) if parent == node_id)
 
     def node_refs(self):
         """Every node in column order: terminals, then nonterminals."""
@@ -196,25 +200,20 @@ class SentenceTree:
 def node_yield(tree: SentenceTree, ref: NodeRef) -> list[int]:
     """All terminal indices dominated by ref (descendant-or-self), ascending.
 
-    A terminal yields itself; a nonterminal yields every terminal reachable
-    through child links.
+    A terminal yields itself; a nonterminal yields every terminal whose
+    chain of parents reaches it.
     """
     tree.parent_of(ref)  # a node not in the tree raises ResolutionError
     if ref.kind == "t":
         return [ref.num]
-    out: list[int] = []
-    stack = [ref.num]
-    seen = {ref.num}
-    while stack:
-        node_id = stack.pop()
-        for child in tree.children_of(node_id):
-            if child.kind == "t":
-                out.append(child.num)
-            elif child.num not in seen:
-                seen.add(child.num)
-                stack.append(child.num)
-    out.sort()
-    return out
+    n = len(tree.tokens)
+    nt_parents = tuple(zip(tree.nt_ids, tree.parents[n:]))
+    below = {ref.num}  # ref and the nonterminals under it, one level more per pass
+    size = 0
+    while size != len(below):
+        size = len(below)
+        below.update([node_id for node_id, parent in nt_parents if parent in below])
+    return [index for index, parent in enumerate(tree.parents[:n], 1) if parent in below]
 
 
 def is_ancestor(tree: SentenceTree, ancestor: NodeRef, descendant: NodeRef) -> bool:
@@ -324,11 +323,8 @@ class MonolingualAnnotation:
             key = (b.target.pred_id, b.target.role)
             by_target[key] = by_target.get(key, ()) + (b,)
         object.__setattr__(self, "_bindings", by_target)
-        keys = [(p.pred_id, None) for p in preds]
-        keys.extend((a.pred_id, a.role) for a in args)
-        # a bound element shares its ref with its binding's target
-        refs = tuple(by_target[k][0].target if k in by_target else ElemRef(*k) for k in keys)
-        object.__setattr__(self, "_refs", refs)
+        keys = [(p.pred_id, None) for p in preds] + [(a.pred_id, a.role) for a in args]
+        object.__setattr__(self, "_refs", tuple(_shared_elem_ref(*key) for key in keys))
 
     @property
     def sentence_id(self) -> str:
@@ -366,9 +362,6 @@ class MonolingualAnnotation:
         if not found:
             raise ResolutionError(f"sentence {self.sentence_id}: no binding for {ref}")
         return found[0]
-
-    def arguments_of(self, pred_id: str) -> tuple[Argument, ...]:
-        return tuple(a for a in self.arguments if a.pred_id == pred_id)
 
 
 def group_roles(annotations: Iterable[MonolingualAnnotation]) -> Iterator[tuple[str, str]]:

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .model import ElemRef, ParallelCorpus, SentenceTree, resolve_yield
 
@@ -204,73 +206,70 @@ def run_query(corpus: ParallelCorpus, query: Query) -> list[dict[str, str]]:
     return runner(corpus, query.filters)
 
 
-def _aligned_pairs(corpus: ParallelCorpus):
+def _alignments(corpus: ParallelCorpus):
+    """(pair, alignment) for every alignment; the sentences are looked up by the rows that need them."""
     for pair_set in corpus.pair_sets:
         for pair in pair_set.pairs:
-            yield pair, corpus.sentence(pair.left_sentence), corpus.sentence(pair.right_sentence)
+            for a in pair.alignments:
+                yield pair, a
 
 
 def _run_preds(corpus, filters):
+    # each key is checked once, as soon as it is known, so no binding is resolved for an early miss
     rows = []
-    for pair, left_ann, right_ann in _aligned_pairs(corpus):
-        for a in pair.alignments:
-            if a.kind != "pred":
-                continue
-            left = left_ann.element(a.left)
-            right = right_ann.element(a.right)
-            left_tags = left_ann.binding_for(a.left).tags
-            right_tags = right_ann.binding_for(a.right).tags
-            attrs = {
-                "class": left.syn_class,
-                "aligned-class": right.syn_class,
-                "tag": left_tags,
-                "aligned-tag": right_tags,
-                "lemma": left.lemma,
-                "group": left.group,
-                "atag": a.tag,
-                "voice": ("pv" in left_tags) != ("pv" in right_tags),
-            }
-            if not _matches(attrs, filters):
-                continue
-            rows.append({
-                "left_sent": pair.left_sentence,
-                "right_sent": pair.right_sentence,
-                "left_pred": str(a.left),
-                "left_lemma": left.lemma,
-                "left_class": left.syn_class,
-                "left_tags": _tags_text(left_tags),
-                "right_pred": str(a.right),
-                "right_lemma": right.lemma,
-                "right_class": right.syn_class,
-                "right_tags": _tags_text(right_tags),
-                "atag": a.tag or "-",
-            })
+    for pair, a in _alignments(corpus):
+        if a.kind != "pred" or not _matches({"atag": a.tag}, filters):
+            continue
+        left_ann = corpus.sentence(pair.left_sentence)
+        left = left_ann.element(a.left)
+        if not _matches({"class": left.syn_class, "lemma": left.lemma, "group": left.group}, filters):
+            continue
+        right_ann = corpus.sentence(pair.right_sentence)
+        right = right_ann.element(a.right)
+        if not _matches({"aligned-class": right.syn_class}, filters):
+            continue
+        left_tags = left_ann.binding_for(a.left).tags
+        right_tags = right_ann.binding_for(a.right).tags
+        voice = ("pv" in left_tags) != ("pv" in right_tags)
+        if not _matches({"tag": left_tags, "aligned-tag": right_tags, "voice": voice}, filters):
+            continue
+        rows.append({
+            "left_sent": pair.left_sentence,
+            "right_sent": pair.right_sentence,
+            "left_pred": str(a.left),
+            "left_lemma": left.lemma,
+            "left_class": left.syn_class,
+            "left_tags": _tags_text(left_tags),
+            "right_pred": str(a.right),
+            "right_lemma": right.lemma,
+            "right_class": right.syn_class,
+            "right_tags": _tags_text(right_tags),
+            "atag": a.tag or "-",
+        })
     return rows
 
 
 def _run_aligns(corpus, filters):
     rows = []
-    for pair, left_ann, right_ann in _aligned_pairs(corpus):
-        for a in pair.alignments:
-            attrs = {"kind": a.kind, "atag": a.tag}
-            if not _matches(attrs, filters):
-                continue
-            if a.kind == "pred":
-                left_label = left_ann.element(a.left).lemma
-                right_label = right_ann.element(a.right).lemma
-            else:
-                left_label = a.left.role
-                right_label = a.right.role
-            rows.append({
-                "kind": a.kind,
-                "left_sent": pair.left_sentence,
-                "right_sent": pair.right_sentence,
-                "left": str(a.left),
-                "left_label": left_label,
-                "right": str(a.right),
-                "right_label": right_label,
-                "atag": a.tag or "-",
-            })
+    for pair, a in _alignments(corpus):
+        if not _matches({"kind": a.kind, "atag": a.tag}, filters):
+            continue
+        if a.kind == "pred":
+            left_label = corpus.sentence(pair.left_sentence).element(a.left).lemma
+            right_label = corpus.sentence(pair.right_sentence).element(a.right).lemma
+        else:
+            left_label = a.left.role
+            right_label = a.right.role
+        rows.append({
+            "kind": a.kind,
+            "left_sent": pair.left_sentence,
+            "right_sent": pair.right_sentence,
+            "left": str(a.left),
+            "left_label": left_label,
+            "right": str(a.right),
+            "right_label": right_label,
+            "atag": a.tag or "-",
+        })
     return rows
 
 
@@ -313,7 +312,7 @@ def _run_realizations(corpus, filters):
                 pred = ann.predicate(arg.pred_id)
                 if not _matches({"group": pred.group, "role": arg.role}, filters):
                     continue
-                binding = ann.binding_for(ElemRef(arg.pred_id, arg.role))
+                binding = ann.binding_for(ElemRef.of(arg.pred_id, arg.role))
                 covered = resolve_yield(ann.tree, binding)
                 rows.append({
                     "lang": lang,
@@ -333,13 +332,16 @@ def _run_frames(corpus, filters):
         if not _matches({"lang": lang}, filters):
             continue
         for ann in corpus.treebanks[lang]:
+            frames = None  # pred_id -> its roles joined, built at the first kept predicate
             for pred in ann.predicates:
                 if not _matches({"lemma": pred.lemma, "group": pred.group}, filters):
                     continue
-                tags = ann.binding_for(ElemRef(pred.pred_id)).tags
-                frame = tuple(sorted(a.role for a in ann.arguments_of(pred.pred_id)))
+                if frames is None:  # arguments are sorted by (pred_id, role)
+                    frames = {pid: "+".join(a.role for a in args)
+                              for pid, args in groupby(ann.arguments, attrgetter("pred_id"))}
+                tags = ann.binding_for(ElemRef.of(pred.pred_id)).tags
                 key = (lang, pred.lemma, pred.syn_class, pred.group, _tags_text(tags),
-                       "+".join(frame) if frame else "-")
+                       frames.get(pred.pred_id, "-"))
                 counts[key] = counts.get(key, 0) + 1
     rows = []
     for key in sorted(counts):

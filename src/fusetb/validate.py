@@ -182,8 +182,8 @@ def validate_monolingual(
                 )
             )
             continue
-        arg_yield = yields.get(ElemRef(arg.pred_id, arg.role))
-        pred_yield = yields.get(ElemRef(arg.pred_id))
+        arg_yield = yields.get(ElemRef.of(arg.pred_id, arg.role))
+        pred_yield = yields.get(ElemRef.of(arg.pred_id))
         if arg_yield is None or pred_yield is None:
             continue
         overlap = sorted(set(arg_yield) & set(pred_yield))

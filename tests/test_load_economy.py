@@ -13,10 +13,11 @@ import fusetb.corpus
 import fusetb.model
 from fusetb.cli import main
 from fusetb.corpus import load_corpus
-from fusetb.model import NodeRef
+from fusetb.model import NodeRef, SentenceTree
 
 from .conftest import FIXTURES
 from .generators import random_corpus, write_corpus_files
+from .oracles import brute_children
 
 FIXTURE_MANIFEST = FIXTURES / "corpus.manifest"
 
@@ -177,7 +178,7 @@ def test_equal_node_refs_are_one_object(generated):
         tree = ann.tree
         refs = list(tree.node_refs())
         for node_id in (0, *tree.nt_ids):
-            assert tree.children_of(node_id) is tree.children_of(node_id)
+            assert [(c.kind, c.num) for c in tree.children_of(node_id)] == brute_children(tree, node_id)
             refs.extend(tree.children_of(node_id))
         for binding in ann.bindings:
             refs.extend(binding.included | binding.excluded)
@@ -247,8 +248,62 @@ def test_equal_node_sets_and_forms_in_a_file_are_one_object(generated):
         assert set_uses > len(node_sets)
 
 
-# Measured 1,151 on this corpus (1,687 with one object per tree node), plus a margin.
-TRACKED_GROWTH_BOUND = 1250
+def test_a_tree_has_no_instance_dict_and_no_child_index(generated):
+    fields = ("sentence_id", "tokens", "labels", "edges", "parents", "nt_ids")
+    assert SentenceTree.__slots__ == fields
+    for corpus in loaded_corpora(generated):
+        for ann in all_annotations(corpus):
+            assert not hasattr(ann.tree, "__dict__")
+
+
+def test_children_of_matches_the_oracle_on_random_trees():
+    checked = 0
+    for seed in range(12):
+        corpus = random_corpus(random.Random(seed), max_sents=6)
+        for ann in all_annotations(corpus):
+            tree = ann.tree
+            for node_id in (0, *tree.nt_ids, *range(1, len(tree.tokens) + 1), 499):
+                children = [(c.kind, c.num) for c in tree.children_of(node_id)]
+                assert children == brute_children(tree, node_id), (tree, node_id)
+                checked += len(children)
+    assert checked > 500
+
+
+def test_equal_elem_refs_are_one_object(generated):
+    # .pa targets, element refs and .al endpoints, across sentences and files
+    fixture, corpus = loaded_corpora(generated)
+    by_value = {}
+    checked = 0
+    for loaded in (fixture, corpus):
+        refs = []
+        for ann in all_annotations(loaded):
+            refs.extend(ann.element_refs())
+            refs.extend(b.target for b in ann.bindings)
+        for pair_set in loaded.pair_sets:
+            for pair in pair_set.pairs:
+                refs.extend(end for a in pair.alignments for end in (a.left, a.right))
+        for ref in refs:
+            assert by_value.setdefault(ref, ref) is ref, ref
+        checked += len(refs)
+    assert checked > 5 * len(by_value)
+
+
+def test_equal_predicate_ids_and_names_are_one_string(generated):
+    for loaded in loaded_corpora(generated):
+        strings = {}
+        uses = 0
+        for ann in all_annotations(loaded):
+            names = [s for p in ann.predicates for s in (p.pred_id, p.lemma, p.group, p.syn_class)]
+            names += [s for a in ann.arguments for s in (a.pred_id, a.role)]
+            for name in names:
+                assert strings.setdefault(name, name) is name, name
+            uses += len(names)
+        assert uses > 2 * len(strings)
+
+
+# Measured 792 on this corpus (1,151 with a stored child index and one ElemRef per
+# element, 1,687 with one object per tree node), plus a margin.
+TRACKED_GROWTH_BOUND = 900
 
 
 def test_a_load_adds_a_bounded_number_of_tracked_objects(generated):
