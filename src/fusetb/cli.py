@@ -230,7 +230,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # the reader closed stdout, as `fuse stats | head -1` does
+        # point stdout at devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _print_diags([Diagnostic.error("E-IO", "<stdout>", f"cannot write: {exc}")])
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -306,19 +306,21 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
 
 
 def serialize_trees(trees) -> str:
-    """Canonical .tb text: one block per tree, in the given order; an absent edge is ``--``."""
-    out: list[str] = []
+    """Canonical .tb text: one block per tree, in the given order; an absent edge is ``--``.
+
+    Each block is joined into one string before the next is built, so the
+    text is held as one string per sentence rather than one per line.
+    """
+    blocks: list[str] = []
     for tree in trees:
         sid = tree.sentence_id
-        out.append(f"#BOS {sid}")
         names = tree.tokens + tuple(f"#{node_id}" for node_id in tree.nt_ids)
-        out += [
-            f"{name}\t{label}\t{'--' if edge is None else edge}\t{parent}"
+        rows = "".join([
+            f"{name}\t{label}\t{'--' if edge is None else edge}\t{parent}\n"
             for name, label, edge, parent in zip(names, tree.labels, tree.edges, tree.parents)
-        ]
-        out.append(f"#EOS {sid}")
-    out.append("")
-    return "\n".join(out)
+        ])
+        blocks.append(f"#BOS {sid}\n{rows}#EOS {sid}\n")
+    return "".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +366,20 @@ def _parse_refs(value: str, filename: str, lineno: int) -> frozenset[NodeRef]:
         _err("E-REF-SYNTAX", filename, lineno, str(exc))
 
 
+@lru_cache(maxsize=4096)
+def _shared_tag_set(value: str) -> frozenset[str]:
+    """One shared frozenset per distinct tags= value; the caller checks its tags."""
+    return frozenset(value.split(","))
+
+
 def _parse_tags(value: str, registry: TagRegistry, filename: str, lineno: int) -> frozenset[str]:
-    tags = []
+    # each tag is checked on every line, in file order, against this call's registry
     for tag in value.split(","):
         if not _TAG_RE.match(tag):
             _err("E-SYNTAX", filename, lineno, f"malformed tag {tag!r}")
         if tag not in registry.binding_tags:
             _err("E-TAG-UNKNOWN", filename, lineno, f"unknown binding tag {tag!r}")
-        tags.append(tag)
-    return frozenset(tags)
+    return _shared_tag_set(value)
 
 
 def _check_name(value: str, what: str, filename: str, lineno: int) -> str:
@@ -494,11 +501,12 @@ def serialize_predarg(annotations) -> str:
     or MonolingualAnnotation.
 
     Blocks follow the mapping order; within a block, predicates sort by id,
-    each followed by its arguments sorted by role.
+    each followed by its arguments sorted by role. Each block is joined into
+    one string before the next is built, as in serialize_trees.
     """
-    out: list[str] = []
+    blocks: list[str] = []
     for sid, pa in annotations.items():
-        out.append(f"#SENT {sid}")
+        out = [f"#SENT {sid}"]
         # keyed by (pred_id, role), which hashes in C, as MonolingualAnnotation does
         by_target = {(b.target.pred_id, b.target.role): b for b in pa.bindings}
         args_of: dict[str, list[str]] = {}
@@ -512,8 +520,9 @@ def serialize_predarg(annotations) -> str:
                 f" group={pred.group}{suffix}"
             )
             out += args_of.get(pred.pred_id, ())
-    out.append("")
-    return "\n".join(out)
+        out.append("")
+        blocks.append("\n".join(out))
+    return "".join(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,14 @@ is safe to share across threads.
 
 Equal immutable leaves may be shared objects: NodeRef.parse, terminal and
 nonterminal return one NodeRef per (kind, num), ElemRef.parse and ElemRef.of
-one ElemRef per (pred_id, role), each from a table of fixed size; every
-empty Binding.excluded and Binding.tags is one frozenset. The parsers add
-equal node sets, labels, forms within a file, node ids and interned
-predicate ids and names. Trees keep no child index.
+one ElemRef per (pred_id, role), and the per-sentence indexes of
+MonolingualAnnotation one (pred_id, role) key tuple per element, each from a
+table of fixed size; every empty Binding.excluded and Binding.tags is one
+frozenset. The parsers add equal node sets, tag sets, labels, forms within a
+file, node ids and interned predicate ids and names. Trees keep no child
+index. MonolingualAnnotation uses slots, and its binding index stores an
+element's one binding bare and only duplicates as a tuple. The serializers
+of formats.py build one string per sentence block and join the blocks.
 Identity is not part of the API; compare with ==.
 """
 
@@ -64,6 +68,12 @@ def _shared_node_ref(kind: str, num: int) -> "NodeRef":
 def _shared_elem_ref(pred_id: str, role: str | None) -> "ElemRef":
     """One ElemRef per (pred_id, role); bounded like _shared_node_ref."""
     return ElemRef(pred_id, role)
+
+
+@lru_cache(maxsize=4096)
+def _shared_key(pred_id: str, role: str | None) -> tuple[str, str | None]:
+    """One (pred_id, role) tuple per element, the key of the per-sentence indexes; bounded likewise."""
+    return (pred_id, role)
 
 
 class ResolutionError(LookupError):
@@ -299,7 +309,7 @@ def sort_elements(obj) -> None:
     object.__setattr__(obj, "bindings", tuple(sorted(obj.bindings, key=lambda b: b.target.sort_key)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonolingualAnnotation:
     """One sentence's tree plus predicate-argument structure and bindings."""
 
@@ -316,12 +326,17 @@ class MonolingualAnnotation:
         sort_elements(self)
         preds, args = self.predicates, self.arguments
         object.__setattr__(self, "_preds", {p.pred_id: p for p in preds})
-        object.__setattr__(self, "_args", {(a.pred_id, a.role): a for a in args})
-        # keyed by (pred_id, role), which hashes in C, like _args
-        by_target: dict[tuple[str, str | None], tuple[Binding, ...]] = {}
+        object.__setattr__(self, "_args", {_shared_key(a.pred_id, a.role): a for a in args})
+        # keyed by (pred_id, role), which hashes in C, like _args; an element's one
+        # binding is stored bare, and only duplicates (invalid data) as a tuple
+        by_target: dict[tuple[str, str | None], Binding | tuple[Binding, ...]] = {}
         for b in self.bindings:
-            key = (b.target.pred_id, b.target.role)
-            by_target[key] = by_target.get(key, ()) + (b,)
+            key = _shared_key(b.target.pred_id, b.target.role)
+            found = by_target.get(key)
+            if found is None:
+                by_target[key] = b
+            else:
+                by_target[key] = (*found, b) if isinstance(found, tuple) else (found, b)
         object.__setattr__(self, "_bindings", by_target)
         keys = [(p.pred_id, None) for p in preds] + [(a.pred_id, a.role) for a in args]
         object.__setattr__(self, "_refs", tuple(_shared_elem_ref(*key) for key in keys))
@@ -354,14 +369,15 @@ class MonolingualAnnotation:
         return self._refs
 
     def bindings_for(self, ref: ElemRef) -> tuple[Binding, ...]:
-        return self._bindings.get((ref.pred_id, ref.role), ())
+        found = self._bindings.get((ref.pred_id, ref.role), ())
+        return found if isinstance(found, tuple) else (found,)
 
     def binding_for(self, ref: ElemRef) -> Binding:
         """The element's unique binding; validated data has exactly one."""
         found = self._bindings.get((ref.pred_id, ref.role))
-        if not found:
+        if found is None:
             raise ResolutionError(f"sentence {self.sentence_id}: no binding for {ref}")
-        return found[0]
+        return found[0] if isinstance(found, tuple) else found
 
 
 def group_roles(annotations: Iterable[MonolingualAnnotation]) -> Iterator[tuple[str, str]]:

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ from fusetb.cli import main
 from fusetb.corpus import load_corpus, parse_manifest, parse_tag_registry
 from fusetb.model import TagRegistry
 
-from .conftest import FIXTURES, FIXTURE_FILES, mutate_file
+from .conftest import FIXTURES, FIXTURE_FILES, REPO_ROOT, mutate_file
 from .generators import random_corpus, write_corpus_files
 
 MANIFEST = str(FIXTURES / "corpus.manifest")
@@ -356,3 +359,33 @@ def test_export_is_lossless_and_canonical(tmp_path, capsys):
         assert main(["export", exported, "--out", str(second)]) == 0
         assert _export_files(second) == _export_files(first)
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", MANIFEST, "--json"],
+        ["query", MANIFEST, "preds"],
+        ["suggest", MANIFEST, "--lang", "en", "--group", "HARMONISE"],
+    ],
+    ids=["stats", "query", "suggest"],
+)
+def test_closed_stdout_is_an_io_diagnostic(argv):
+    # stdout is a pipe whose reader has gone, as in `fuse stats ... | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "fusetb.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == [
+        "ERROR\tE-IO\t<stdout>\tcannot write: [Errno 32] Broken pipe"
+    ]

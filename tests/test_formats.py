@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import tracemalloc
 import unicodedata
 
 import pytest
@@ -255,6 +257,23 @@ def test_pa_custom_registry():
     assert pa.bindings[0].tags == frozenset({"refl"})
 
 
+@pytest.mark.parametrize(
+    "tags,code,named",
+    [("zz,Bad", "E-TAG-UNKNOWN", "'zz'"), ("Bad,zz", "E-SYNTAX", "'Bad'")],
+)
+def test_tags_are_checked_in_file_order(tags, code, named):
+    # the first faulty tag decides the diagnostic, whichever check it fails
+    text = (
+        "#SENT s1\nPRED p0 lemma=X class=v group=X nodes=t1\n"
+        f"PRED p1 lemma=X class=v group=X nodes=t1 tags={tags}\n"
+    )
+    with pytest.raises(ParseError) as excinfo:
+        parse_predarg(text, filename="t.pa")
+    diag = excinfo.value.diagnostic
+    assert (diag.code, diag.file, diag.line) == (code, "t.pa", 3)
+    assert named in diag.message
+
+
 def test_pa_fixture_round_trip_is_byte_identical():
     for name in ("en.pa", "de.pa"):
         text = (FIXTURES / name).read_text(encoding="utf-8")
@@ -362,3 +381,24 @@ def test_serialize_predarg_hashes_no_elem_ref(fixture_corpus, monkeypatch):
         assert serialize_predarg({a.sentence_id: a for a in anns}) == expected
         predarg = {a.sentence_id: PredArg(a.predicates, a.arguments, a.bindings) for a in anns}
         assert serialize_predarg(predarg) == expected
+
+
+def peak_over_size(serialize, data) -> float:
+    """The tracemalloc peak of one call, as a multiple of the size of the text it returns."""
+    tracemalloc.start()
+    try:
+        text = serialize(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / sys.getsizeof(text)
+
+
+def test_serializers_build_one_block_at_a_time():
+    # Holding one string per line until the end costs about 6x the text for
+    # .tb and 4x for .pa; one string per sentence block stays under 3x for
+    # sentences of up to 20 tokens.
+    rng = random.Random(3)
+    anns = [random_annotation(rng, random_tree(rng, f"s{i}", max_tokens=20)) for i in range(300)]
+    assert peak_over_size(serialize_trees, [ann.tree for ann in anns]) < 3
+    assert peak_over_size(serialize_predarg, {ann.sentence_id: ann for ann in anns}) < 3

@@ -13,7 +13,15 @@ import fusetb.corpus
 import fusetb.model
 from fusetb.cli import main
 from fusetb.corpus import load_corpus
-from fusetb.model import NodeRef, SentenceTree
+from fusetb.model import (
+    Binding,
+    ElemRef,
+    MonolingualAnnotation,
+    NodeRef,
+    Predicate,
+    SentenceTree,
+)
+from fusetb.validate import validate_monolingual
 
 from .conftest import FIXTURES
 from .generators import random_corpus, write_corpus_files
@@ -301,9 +309,49 @@ def test_equal_predicate_ids_and_names_are_one_string(generated):
         assert uses > 2 * len(strings)
 
 
-# Measured 792 on this corpus (1,151 with a stored child index and one ElemRef per
-# element, 1,687 with one object per tree node), plus a margin.
-TRACKED_GROWTH_BOUND = 900
+def test_an_annotation_has_no_instance_dict(generated):
+    for corpus in loaded_corpora(generated):
+        for ann in all_annotations(corpus):
+            assert not hasattr(ann, "__dict__")
+
+
+def test_equal_tag_sets_are_one_object(generated):
+    by_value = {}
+    uses = 0
+    for corpus in loaded_corpora(generated):
+        for ann in all_annotations(corpus):
+            for binding in ann.bindings:
+                if binding.tags:
+                    assert by_value.setdefault(binding.tags, binding.tags) is binding.tags
+                    uses += 1
+    assert uses > 2 * len(by_value)
+
+
+def test_a_lone_binding_is_stored_bare(generated):
+    for corpus in loaded_corpora(generated):
+        for ann in all_annotations(corpus):
+            values = list(ann._bindings.values())
+            assert len(values) == len(ann.bindings)
+            assert not any(isinstance(v, tuple) and len(v) == 1 for v in values)
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_every_duplicate_binding_is_kept(copies):
+    tree = SentenceTree("s1", ("a", "b"), ("NN", "NN"), (None, None), (0, 0))
+    target = ElemRef.of("p1")
+    binds = tuple(Binding(target, frozenset({NodeRef.terminal(1 + i % 2)})) for i in range(copies))
+    ann = MonolingualAnnotation(tree, (Predicate("p1", "GEBEN", "v", "GEBEN"),), (), binds)
+    assert ann.bindings_for(target) == binds
+    assert ann.binding_for(target) == binds[0]
+    assert [d.message for d in validate_monolingual(ann) if d.code == "E-BIND-MISSING"] == [
+        f"sentence s1: element p1 has {copies} bindings, expected exactly one"
+    ]
+
+
+# Measured 635 on this corpus (792 with a tuple per bound element and an instance
+# dict per annotation, 1,151 with a stored child index and one ElemRef per element,
+# 1,687 with one object per tree node), plus a margin under 10%.
+TRACKED_GROWTH_BOUND = 695
 
 
 def test_a_load_adds_a_bounded_number_of_tracked_objects(generated):
