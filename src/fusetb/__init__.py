@@ -33,8 +33,6 @@ from .model import (
     SentencePairAlignment,
     SentenceTree,
     TagRegistry,
-    element_of,
-    is_discontinuous,
     node_yield,
     resolve_yield,
 )

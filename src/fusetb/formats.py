@@ -1,40 +1,9 @@
-"""Parsers and canonical serializers for the three annotation file types.
+"""Parsers and canonical serializers for the ``.tb``, ``.pa`` and ``.al`` annotation files.
 
-All documents are UTF-8 without a byte-order mark, NFC-normalized on
-input and LF-terminated on output. Lines starting with ``%%`` are comments
-and are ignored anywhere; blank lines are permitted only between blocks.
-Parsing is fail-fast: the first structural ERROR aborts the file with a
-ParseError carrying a Diagnostic (file + line); serializers are
-deterministic and emit the canonical form, so parse -> serialize is
-byte-identity on canonical files and serialize -> parse is structural
-identity on any valid data.
-
-Formats:
-
-``.tb`` (constituent trees)::
-
-    #BOS <sid>
-    <form>\\t<pos>\\t<edge>\\t<parent>     one line per terminal, surface order
-    #<id>\\t<cat>\\t<edge>\\t<parent>      nonterminals, ids ascending from 500
-    #EOS <sid>
-
-``<parent>`` is a nonterminal id or 0 for the virtual root; ``<edge>`` is
-``--`` when absent. Forms contain no whitespace.
-
-``.pa`` (predicate-argument structures and bindings)::
-
-    #SENT <sid>
-    PRED <pid> lemma=<LEMMA> class=<v|n|a> group=<GROUP> nodes=<ref>[,...]
-               [excl=<ref>[,...]] [tags=<tag>[,...]]
-    ARG <pid> role=<ROLE> nodes=<ref>[,...] [excl=<ref>[,...]]
-
-Node refs are ``t<k>`` (terminal surface index) or ``n<id>`` (nonterminal).
-
-``.al`` (alignments)::
-
-    #PAIR <langL>:<sidL> <langR>:<sidR>
-    PALIGN <pidL> <pidR> [tag=<t>]
-    AALIGN <pidL>.<ROLE> <pidR>.<ROLE> [tag=<t>]
+README.md ("Corpus layout") is the contract for the three formats and their framing.
+Parsing is fail-fast: the first ERROR aborts the file with a ParseError carrying a
+Diagnostic (file + line). Serializers emit the canonical form, so parse -> serialize is
+byte-identity on canonical files and serialize -> parse is structural identity on valid data.
 """
 
 from __future__ import annotations
@@ -160,10 +129,73 @@ def _shared_label(text: str) -> str | None:
     return sys.intern(text) if _LABEL_RE.match(text) else None
 
 
-def _check_sid(sid: str, filename: str, lineno: int) -> str:
+def _check_sid(sid: str, seen: set[str] | dict[str, PredArg], filename: str, lineno: int) -> None:
     if not _SID_RE.match(sid):
         _err("E-SYNTAX", filename, lineno, f"malformed sentence id {sid!r}")
-    return sid
+    if sid in seen:
+        _err("E-SENT-DUP", filename, lineno, f"duplicate sentence id {sid}")
+
+
+def _fail_after(lines, diagnostic: Diagnostic):
+    """A cut-short block's data lines, then the framing fault that cut it short."""
+    yield from lines
+    raise ParseError(diagnostic)
+
+
+def _blocks(text: str, filename: str, header: str, n_fields: int, closer: str | None = None):
+    """(header fields, header line, end line, data lines) of each block of an annotation file.
+
+    The one reader of the block framing README gives the three formats; data lines are
+    ``(line number, line)`` pairs. A fault inside a block is raised by its data lines after
+    the lines before it, so parsers report faults in file order and finish only whole
+    blocks, whose data lines are a list.
+    """
+    keywords = (header, closer) if closer else (header,)
+    blank_inside = f"blank line inside {header} block"
+    fields = None  # the open block's header fields
+    start = blank = 0  # the open block's header line and its first blank line
+    lines: list[tuple[int, str]] = []
+    try:
+        for row in _lines(text, filename):
+            lineno, line = row
+            if not line.strip():
+                if fields is not None and not blank:
+                    blank = lineno
+                continue
+            parts = line.split() if line.startswith(keywords) else ()
+            keyword = parts[0] if parts and parts[0] in keywords else None
+            if keyword == header and fields is not None and not closer:
+                yield fields, start, lines[-1][0] if lines else start, lines
+                fields = None
+            if fields is None:
+                if keyword != header:
+                    _err("E-SYNTAX", filename, lineno, f"{keyword or 'data line'} outside {header} block")
+                if len(parts) != n_fields + 1:
+                    _err("E-SYNTAX", filename, lineno, f"malformed {header} line")
+                fields, start, blank, lines = parts[1:], lineno, 0, []
+                continue
+            if blank:
+                _err("E-SYNTAX", filename, blank, blank_inside)
+            if keyword is None:
+                lines.append(row)
+                continue
+            if keyword == header:
+                _err("E-SYNTAX", filename, lineno, f"{header} before {closer} {' '.join(fields)}")
+            if parts[1:] != fields:
+                _err("E-SYNTAX", filename, lineno, f"{closer} does not close {header} {' '.join(fields)}")
+            yield fields, start, lineno, lines
+            fields = None
+        if fields is not None and closer:
+            if blank:
+                _err("E-SYNTAX", filename, blank, blank_inside)
+            _err("E-SYNTAX", filename, start, f"{header} {' '.join(fields)} not closed by {closer}")
+    except ParseError as exc:  # a fault in an open block, a CR line ending from _lines too
+        if fields is None:
+            raise
+        yield fields, start, exc.diagnostic.line, _fail_after(lines, exc.diagnostic)
+        return
+    if fields is not None:
+        yield fields, start, lines[-1][0] if lines else start, lines
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +207,57 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
     trees: list[SentenceTree] = []
     seen_sids: set[str] = set()
     shared_forms: dict[str, str] = {}  # one string per distinct form in this file
-    sid = None
-    sid_line = 0
-    # one entry per node in column order (terminals, then nonterminals)
-    forms: list[str] = []
-    nt_ids: list[int] = []
-    labels: list[str] = []
-    edges: list[str | None] = []
-    parents: list[int] = []
-    lines: list[int] = []
-
-    def finish(end_line: int):
+    for (sid,), start, end, block in _blocks(text, filename, "#BOS", 1, "#EOS"):
+        _check_sid(sid, seen_sids, filename, start)
+        seen_sids.add(sid)
+        # one entry per node in column order (terminals, then nonterminals): node k is block[k]
+        forms, nt_ids, labels, edges, parents = [], [], [], [], []
+        for lineno, line in block:
+            fields = line.split("\t")
+            if len(fields) != 4:
+                _err("E-SYNTAX", filename, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
+            name, label, edge, parent_text = fields
+            parent = _shared_number(parent_text)
+            if parent is None:
+                _err("E-SYNTAX", filename, lineno, f"malformed parent reference {parent_text!r}")
+            if parent != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
+                _err("E-SYNTAX", filename, lineno, f"parent must be 0 or a nonterminal id, got {parent}")
+            label = _shared_label(label)
+            if label is None:
+                _err("E-SYNTAX", filename, lineno, "empty or malformed label field")
+            edge_label = _shared_label(edge)
+            if edge_label is None:
+                _err("E-SYNTAX", filename, lineno, "empty or malformed edge field")
+            if name.startswith("#"):
+                node_id = _shared_number(name[1:])
+                if node_id is None:
+                    _err("E-SYNTAX", filename, lineno, f"malformed nonterminal id {name!r}")
+                if node_id < MIN_NONTERMINAL_ID:
+                    _err(
+                        "E-NODE-ID-RANGE",
+                        filename,
+                        lineno,
+                        f"nonterminal id {node_id} below {MIN_NONTERMINAL_ID}",
+                    )
+                if node_id in nt_ids:
+                    _err("E-NODE-DUP", filename, lineno, f"duplicate nonterminal id {node_id}")
+                if nt_ids and node_id < nt_ids[-1]:
+                    _err("E-SYNTAX", filename, lineno, "nonterminal ids must be ascending")
+                nt_ids.append(node_id)
+            else:
+                if nt_ids:
+                    _err("E-SYNTAX", filename, lineno, "terminal line after nonterminal lines")
+                form = shared_forms.get(name)
+                if form is None:
+                    if not _LABEL_RE.match(name):
+                        _err("E-SYNTAX", filename, lineno, "empty token form or whitespace in form")
+                    form = shared_forms[name] = name
+                forms.append(form)
+            labels.append(label)
+            edges.append(None if edge_label == "--" else edge_label)
+            parents.append(parent)
         if not forms:
-            _err("E-SYNTAX", filename, end_line, f"sentence {sid} has no terminals")
+            _err("E-SYNTAX", filename, end, f"sentence {sid} has no terminals")
         n = len(forms)
         known = set(nt_ids)
         for pos, parent in enumerate(parents):
@@ -196,7 +266,7 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
                 _err(
                     "E-PARENT-UNKNOWN",
                     filename,
-                    lines[pos],
+                    block[pos][0],
                     f"sentence {sid}: {node} attached to unknown node {parent}",
                 )
         parent_of = dict(zip(nt_ids, parents[n:]))
@@ -208,7 +278,7 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
                     _err(
                         "E-TREE-CYCLE",
                         filename,
-                        lines[n + nt_ids.index(node_id)],
+                        block[n + nt_ids.index(node_id)][0],
                         f"sentence {sid}: cycle through node {node_id}",
                     )
                 path.add(node_id)
@@ -220,88 +290,12 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
                 _err(
                     "E-NT-EMPTY",
                     filename,
-                    lines[n + pos],
+                    block[n + pos][0],
                     f"sentence {sid}: node {node_id} has no children",
                 )
         trees.append(
             SentenceTree(sid, tuple(forms), tuple(labels), tuple(edges), tuple(parents), tuple(nt_ids))
         )
-
-    for lineno, line in _lines(text, filename):
-        if not line.strip():
-            if sid is not None:
-                _err("E-SYNTAX", filename, lineno, "blank line inside sentence block")
-            continue
-        if line.startswith("#BOS"):
-            if sid is not None:
-                _err("E-SYNTAX", filename, lineno, f"#BOS inside sentence {sid}")
-            parts = line.split()
-            if len(parts) != 2:
-                _err("E-SYNTAX", filename, lineno, "malformed #BOS line")
-            new_sid = _check_sid(parts[1], filename, lineno)
-            if new_sid in seen_sids:
-                _err("E-SENT-DUP", filename, lineno, f"duplicate sentence id {new_sid}")
-            seen_sids.add(new_sid)
-            sid, sid_line = new_sid, lineno
-            forms, nt_ids, labels, edges, parents, lines = [], [], [], [], [], []
-            continue
-        if line.startswith("#EOS"):
-            if sid is None:
-                _err("E-SYNTAX", filename, lineno, "#EOS outside sentence block")
-            parts = line.split()
-            if len(parts) != 2 or parts[1] != sid:
-                _err("E-SYNTAX", filename, lineno, f"#EOS does not close sentence {sid}")
-            finish(lineno)
-            sid = None
-            continue
-        if sid is None:
-            _err("E-SYNTAX", filename, lineno, "data line outside sentence block")
-        fields = line.split("\t")
-        if len(fields) != 4:
-            _err("E-SYNTAX", filename, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
-        name, label, edge, parent_text = fields
-        parent = _shared_number(parent_text)
-        if parent is None:
-            _err("E-SYNTAX", filename, lineno, f"malformed parent reference {parent_text!r}")
-        if parent != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
-            _err("E-SYNTAX", filename, lineno, f"parent must be 0 or a nonterminal id, got {parent}")
-        label = _shared_label(label)
-        if label is None:
-            _err("E-SYNTAX", filename, lineno, "empty or malformed label field")
-        edge_label = _shared_label(edge)
-        if edge_label is None:
-            _err("E-SYNTAX", filename, lineno, "empty or malformed edge field")
-        if name.startswith("#"):
-            node_id = _shared_number(name[1:])
-            if node_id is None:
-                _err("E-SYNTAX", filename, lineno, f"malformed nonterminal id {name!r}")
-            if node_id < MIN_NONTERMINAL_ID:
-                _err(
-                    "E-NODE-ID-RANGE",
-                    filename,
-                    lineno,
-                    f"nonterminal id {node_id} below {MIN_NONTERMINAL_ID}",
-                )
-            if node_id in nt_ids:
-                _err("E-NODE-DUP", filename, lineno, f"duplicate nonterminal id {node_id}")
-            if nt_ids and node_id < nt_ids[-1]:
-                _err("E-SYNTAX", filename, lineno, "nonterminal ids must be ascending")
-            nt_ids.append(node_id)
-        else:
-            if nt_ids:
-                _err("E-SYNTAX", filename, lineno, "terminal line after nonterminal lines")
-            form = shared_forms.get(name)
-            if form is None:
-                if not _LABEL_RE.match(name):
-                    _err("E-SYNTAX", filename, lineno, "empty token form or whitespace in form")
-                form = shared_forms[name] = name
-            forms.append(form)
-        labels.append(label)
-        edges.append(None if edge_label == "--" else edge_label)
-        parents.append(parent)
-        lines.append(lineno)
-    if sid is not None:
-        _err("E-SYNTAX", filename, sid_line, f"sentence {sid} not closed by #EOS")
     return trees
 
 
@@ -359,9 +353,10 @@ def _shared_node_set(value: str) -> frozenset[NodeRef]:
     return frozenset(map(NodeRef.parse, value.split(",")))
 
 
-def _parse_refs(value: str, filename: str, lineno: int) -> frozenset[NodeRef]:
+def _parse_ref(parse, text: str, filename: str, lineno: int):
+    """parse(text), its ValueError (a malformed node or element reference) as E-REF-SYNTAX."""
     try:
-        return _shared_node_set(value)
+        return parse(text)
     except ValueError as exc:
         _err("E-REF-SYNTAX", filename, lineno, str(exc))
 
@@ -372,13 +367,18 @@ def _shared_tag_set(value: str) -> frozenset[str]:
     return frozenset(value.split(","))
 
 
+def _check_tag(tag: str, allowed: frozenset[str], what: str, filename: str, lineno: int) -> str:
+    if not _TAG_RE.match(tag):
+        _err("E-SYNTAX", filename, lineno, f"malformed tag {tag!r}")
+    if tag not in allowed:
+        _err("E-TAG-UNKNOWN", filename, lineno, f"unknown {what} tag {tag!r}")
+    return tag
+
+
 def _parse_tags(value: str, registry: TagRegistry, filename: str, lineno: int) -> frozenset[str]:
     # each tag is checked on every line, in file order, against this call's registry
     for tag in value.split(","):
-        if not _TAG_RE.match(tag):
-            _err("E-SYNTAX", filename, lineno, f"malformed tag {tag!r}")
-        if tag not in registry.binding_tags:
-            _err("E-TAG-UNKNOWN", filename, lineno, f"unknown binding tag {tag!r}")
+        _check_tag(tag, registry.binding_tags, "binding", filename, lineno)
     return _shared_tag_set(value)
 
 
@@ -398,83 +398,63 @@ def parse_predarg(
     """
     registry = registry or TagRegistry()
     result: dict[str, PredArg] = {}
-    sid = None
-    preds: list[Predicate] = []
-    args: list[Argument] = []
-    bindings: list[Binding] = []
-
-    def finish():
-        result[sid] = PredArg(tuple(preds), tuple(args), tuple(bindings))
-
-    for lineno, line in _lines(text, filename):
-        if not line.strip():
-            if sid is not None:
-                _err("E-SYNTAX", filename, lineno, "blank line inside sentence block")
-            continue
-        if line.startswith("#SENT"):
-            if sid is not None:
-                finish()
-            parts = line.split()
-            if len(parts) != 2:
-                _err("E-SYNTAX", filename, lineno, "malformed #SENT line")
-            new_sid = _check_sid(parts[1], filename, lineno)
-            if new_sid in result:
-                _err("E-SENT-DUP", filename, lineno, f"duplicate sentence id {new_sid}")
-            sid = new_sid
-            preds, args, bindings = [], [], []
-            continue
-        if sid is None:
-            _err("E-SYNTAX", filename, lineno, "data line outside #SENT block")
-        fields = line.split()
-        if len(fields) < 2 or fields[0] not in ("PRED", "ARG"):
-            _err("E-SYNTAX", filename, lineno, f"expected PRED or ARG line, got {line!r}")
-        pid = sys.intern(fields[1])
-        if not is_pred_id(pid):
-            _err("E-REF-SYNTAX", filename, lineno, f"malformed predicate id {pid!r}")
-        if fields[0] == "PRED":
-            kv = _split_kv(fields[2:], ("lemma", "class", "group", "nodes", "excl", "tags"), filename, lineno)
-            for required in ("lemma", "class", "group"):
-                if required not in kv:
-                    _err("E-SYNTAX", filename, lineno, f"PRED line missing {required}=")
-            if any(p.pred_id == pid for p in preds):
-                _err("E-PRED-DUP", filename, lineno, f"duplicate predicate id {pid}")
-            if kv["class"] not in PRED_CLASSES:
-                _err(
-                    "E-CLASS",
-                    filename,
-                    lineno,
-                    f"predicate class {kv['class']!r} not in {{v,n,a}}",
+    for (sid,), start, _, block in _blocks(text, filename, "#SENT", 1):
+        _check_sid(sid, result, filename, start)
+        preds, args, bindings = [], [], []
+        for lineno, line in block:
+            fields = line.split()
+            if len(fields) < 2 or fields[0] not in ("PRED", "ARG"):
+                _err("E-SYNTAX", filename, lineno, f"expected PRED or ARG line, got {line!r}")
+            pid = sys.intern(fields[1])
+            if not is_pred_id(pid):
+                _err("E-REF-SYNTAX", filename, lineno, f"malformed predicate id {pid!r}")
+            if fields[0] == "PRED":
+                kv = _split_kv(fields[2:], ("lemma", "class", "group", "nodes", "excl", "tags"), filename, lineno)
+                for required in ("lemma", "class", "group"):
+                    if required not in kv:
+                        _err("E-SYNTAX", filename, lineno, f"PRED line missing {required}=")
+                if any(p.pred_id == pid for p in preds):
+                    _err("E-PRED-DUP", filename, lineno, f"duplicate predicate id {pid}")
+                if kv["class"] not in PRED_CLASSES:
+                    _err(
+                        "E-CLASS",
+                        filename,
+                        lineno,
+                        f"predicate class {kv['class']!r} not in {{v,n,a}}",
+                    )
+                lemma = _check_name(kv["lemma"], "lemma", filename, lineno)
+                group = _check_name(kv["group"], "group", filename, lineno)
+                preds.append(Predicate(pid, lemma, sys.intern(kv["class"]), group))
+                target = ElemRef.of(pid)
+            else:
+                kv = _split_kv(fields[2:], ("role", "nodes", "excl", "tags"), filename, lineno)
+                if "role" not in kv:
+                    _err("E-SYNTAX", filename, lineno, "ARG line missing role=")
+                if not any(p.pred_id == pid for p in preds):
+                    _err("E-ORDER", filename, lineno, f"ARG before PRED line for {pid}")
+                role = _check_name(kv["role"], "role", filename, lineno)
+                if any(a.pred_id == pid and a.role == role for a in args):
+                    _err("E-ROLE-DUP", filename, lineno, f"duplicate role {role} for predicate {pid}")
+                args.append(Argument(pid, role))
+                target = ElemRef.of(pid, role)
+            if "excl" in kv and "nodes" not in kv:
+                _err("E-SYNTAX", filename, lineno, "excl= requires nodes=")
+            if "nodes" in kv:
+                included = _parse_ref(_shared_node_set, kv["nodes"], filename, lineno)
+                excluded = (
+                    _parse_ref(_shared_node_set, kv["excl"], filename, lineno)
+                    if "excl" in kv
+                    else EMPTY_FROZENSET
                 )
-            lemma = _check_name(kv["lemma"], "lemma", filename, lineno)
-            group = _check_name(kv["group"], "group", filename, lineno)
-            preds.append(Predicate(pid, lemma, sys.intern(kv["class"]), group))
-            target = ElemRef.of(pid)
-        else:
-            kv = _split_kv(fields[2:], ("role", "nodes", "excl", "tags"), filename, lineno)
-            if "role" not in kv:
-                _err("E-SYNTAX", filename, lineno, "ARG line missing role=")
-            if not any(p.pred_id == pid for p in preds):
-                _err("E-ORDER", filename, lineno, f"ARG before PRED line for {pid}")
-            role = _check_name(kv["role"], "role", filename, lineno)
-            if any(a.pred_id == pid and a.role == role for a in args):
-                _err("E-ROLE-DUP", filename, lineno, f"duplicate role {role} for predicate {pid}")
-            args.append(Argument(pid, role))
-            target = ElemRef.of(pid, role)
-        if "excl" in kv and "nodes" not in kv:
-            _err("E-SYNTAX", filename, lineno, "excl= requires nodes=")
-        if "nodes" in kv:
-            included = _parse_refs(kv["nodes"], filename, lineno)
-            excluded = _parse_refs(kv["excl"], filename, lineno) if "excl" in kv else EMPTY_FROZENSET
-            tags = (
-                _parse_tags(kv["tags"], registry, filename, lineno)
-                if "tags" in kv
-                else EMPTY_FROZENSET
-            )
-            bindings.append(Binding(target, included, excluded, tags))
-        elif "tags" in kv:
-            _err("E-SYNTAX", filename, lineno, "tags= requires nodes=")
-    if sid is not None:
-        finish()
+                tags = (
+                    _parse_tags(kv["tags"], registry, filename, lineno)
+                    if "tags" in kv
+                    else EMPTY_FROZENSET
+                )
+                bindings.append(Binding(target, included, excluded, tags))
+            elif "tags" in kv:
+                _err("E-SYNTAX", filename, lineno, "tags= requires nodes=")
+        result[sid] = PredArg(tuple(preds), tuple(args), tuple(bindings))
     return result
 
 
@@ -529,13 +509,6 @@ def serialize_predarg(annotations) -> str:
 # .al — alignments
 
 
-def _parse_eref(text: str, filename: str, lineno: int) -> ElemRef:
-    try:
-        return ElemRef.parse(text)
-    except ValueError as exc:
-        _err("E-REF-SYNTAX", filename, lineno, str(exc))
-
-
 def parse_alignments(
     text: str, registry: TagRegistry | None = None, filename: str = "<string>"
 ) -> list[SentencePairAlignment]:
@@ -548,57 +521,28 @@ def parse_alignments(
     registry = registry or TagRegistry()
     pairs: list[SentencePairAlignment] = []
     seen: set[tuple[str, str]] = set()
-    header = None
-    alignments: list[Alignment] = []
-
-    def finish():
-        pairs.append(SentencePairAlignment(header[0], header[1], tuple(alignments)))
-
-    for lineno, line in _lines(text, filename):
-        if not line.strip():
-            if header is not None:
-                _err("E-SYNTAX", filename, lineno, "blank line inside pair block")
-            continue
-        if line.startswith("#PAIR"):
-            if header is not None:
-                finish()
-            parts = line.split()
-            if len(parts) != 3:
-                _err("E-SYNTAX", filename, lineno, "malformed #PAIR line")
-            keys = []
-            for part in parts[1:]:
-                lang, sep, sid = part.partition(":")
-                if not sep or not _LANG_RE.match(lang) or not _SID_RE.match(sid):
-                    _err("E-SYNTAX", filename, lineno, f"malformed sentence reference {part!r}")
-                keys.append(part)
-            pair_key = (keys[0], keys[1])
-            if pair_key in seen:
-                _err("E-PAIR-DUP", filename, lineno, f"duplicate pair {keys[0]} {keys[1]}")
-            seen.add(pair_key)
-            header = pair_key
-            alignments = []
-            continue
-        if header is None:
-            _err("E-SYNTAX", filename, lineno, "data line outside #PAIR block")
-        fields = line.split()
-        if len(fields) not in (3, 4) or fields[0] not in ("PALIGN", "AALIGN"):
-            _err("E-SYNTAX", filename, lineno, f"expected PALIGN or AALIGN line, got {line!r}")
-        kind = "pred" if fields[0] == "PALIGN" else "arg"
-        left = _parse_eref(fields[1], filename, lineno)
-        right = _parse_eref(fields[2], filename, lineno)
-        tag = None
-        if len(fields) == 4:
-            key, sep, value = fields[3].partition("=")
-            if key != "tag" or not sep or not value:
-                _err("E-SYNTAX", filename, lineno, f"unexpected field {fields[3]!r}")
-            if not _TAG_RE.match(value):
-                _err("E-SYNTAX", filename, lineno, f"malformed tag {value!r}")
-            if value not in registry.alignment_tags:
-                _err("E-TAG-UNKNOWN", filename, lineno, f"unknown alignment tag {value!r}")
-            tag = value
-        alignments.append(Alignment(kind, left, right, tag))
-    if header is not None:
-        finish()
+    for (left, right), start, _, block in _blocks(text, filename, "#PAIR", 2):
+        for part in (left, right):
+            lang, sep, sid = part.partition(":")
+            if not sep or not _LANG_RE.match(lang) or not _SID_RE.match(sid):
+                _err("E-SYNTAX", filename, start, f"malformed sentence reference {part!r}")
+        if (left, right) in seen:
+            _err("E-PAIR-DUP", filename, start, f"duplicate pair {left} {right}")
+        seen.add((left, right))
+        alignments: list[Alignment] = []
+        for lineno, line in block:
+            fields = line.split()
+            if len(fields) not in (3, 4) or fields[0] not in ("PALIGN", "AALIGN"):
+                _err("E-SYNTAX", filename, lineno, f"expected PALIGN or AALIGN line, got {line!r}")
+            kind = "pred" if fields[0] == "PALIGN" else "arg"
+            left_ref = _parse_ref(ElemRef.parse, fields[1], filename, lineno)
+            right_ref = _parse_ref(ElemRef.parse, fields[2], filename, lineno)
+            tag = None
+            if len(fields) == 4:
+                value = _split_kv(fields[3:], ("tag",), filename, lineno)["tag"]
+                tag = _check_tag(value, registry.alignment_tags, "alignment", filename, lineno)
+            alignments.append(Alignment(kind, left_ref, right_ref, tag))
+        pairs.append(SentencePairAlignment(left, right, tuple(alignments)))
     return pairs
 
 

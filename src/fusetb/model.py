@@ -296,12 +296,6 @@ def resolve_yield(tree: SentenceTree, binding: Binding) -> list[int]:
     return sorted(covered)
 
 
-def is_discontinuous(tree: SentenceTree, binding: Binding) -> bool:
-    """True if the binding's yield is not one contiguous index range."""
-    covered = resolve_yield(tree, binding)
-    return covered[-1] - covered[0] + 1 != len(covered)
-
-
 def sort_elements(obj) -> None:
     """Put a frozen object's predicates, arguments and bindings in canonical order."""
     object.__setattr__(obj, "predicates", tuple(sorted(obj.predicates, key=lambda p: p.pred_id)))
@@ -387,16 +381,6 @@ def group_roles(annotations: Iterable[MonolingualAnnotation]) -> Iterator[tuple[
             pred = ann.predicate(arg.pred_id)
             if pred is not None:
                 yield pred.group, arg.role
-
-
-def element_of(annotation: MonolingualAnnotation, ref: ElemRef | str) -> Predicate | Argument:
-    """Resolve 'p1' / 'p1.ROLE' style references against one annotation."""
-    if isinstance(ref, str):
-        try:
-            ref = ElemRef.parse(ref)
-        except ValueError as exc:
-            raise ResolutionError(f"sentence {annotation.sentence_id}: {exc}") from exc
-    return annotation.element(ref)
 
 
 @dataclass(frozen=True, slots=True)

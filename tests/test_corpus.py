@@ -213,16 +213,18 @@ def test_parse_failure_skips_semantic_validation(corpus_copy):
 
 
 def test_fixture_pruned_binding_yield(fixture_corpus):
-    from fusetb.model import ElemRef, is_discontinuous, resolve_yield
+    from fusetb.model import ElemRef, resolve_yield
 
     ann = fixture_corpus.sentence("en:s5")
     binding = ann.binding_for(ElemRef("p2", "ENT_RAISED"))
     # NP 525 covers tokens 4..11; pruning clause 517 removes the medial 6..9
-    assert resolve_yield(ann.tree, binding) == [4, 5, 10, 11]
-    assert is_discontinuous(ann.tree, binding)
+    covered = resolve_yield(ann.tree, binding)
+    assert covered == [4, 5, 10, 11]
+    assert covered != list(range(covered[0], covered[-1] + 1))
     whole = ann.binding_for(ElemRef("p1", "ENT_DISCUSSED"))
-    assert resolve_yield(ann.tree, whole) == [4, 5, 6, 7, 8, 9, 10, 11]
-    assert not is_discontinuous(ann.tree, whole)
+    covered = resolve_yield(ann.tree, whole)
+    assert covered == [4, 5, 6, 7, 8, 9, 10, 11]
+    assert covered == list(range(covered[0], covered[-1] + 1))
 
 
 def test_fixture_stats(fixture_corpus):

@@ -23,12 +23,16 @@ from .conftest import FIXTURES
 from .generators import random_annotation, random_corpus, random_tree
 
 
-def parse_error_code(fn, *args, **kwargs) -> str:
+def parse_error_at(fn, *args, **kwargs) -> tuple[str, int]:
     with pytest.raises(ParseError) as excinfo:
         fn(*args, **kwargs)
     diag = excinfo.value.diagnostic
     assert diag.file is not None and diag.line is not None
-    return diag.code
+    return diag.code, diag.line
+
+
+def parse_error_code(fn, *args, **kwargs) -> str:
+    return parse_error_at(fn, *args, **kwargs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -88,22 +92,31 @@ def test_duplicate_node_id():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, line",
     [
-        "#BOS s1\na\tNN\t--\t0\n\n#EOS s1\n",  # blank line inside block
-        "#BOS s1\na\tNN\t--\n#EOS s1\n",  # missing field
-        "#BOS s1\n#EOS s1\n",  # no terminals
-        "#BOS s1\na\tNN\t--\t0\n",  # missing #EOS
-        "a\tNN\t--\t0\n",  # data outside block
-        "#BOS s1\n#501\tNP\t--\t0\na\tNN\t--\t501\n#EOS s1\n",  # terminal after nonterminal
-        "#BOS s1\na\tNN\t--\t502\nb\tNN\t--\t501\n#502\tNP\t--\t0\n#501\tNP\t--\t0\n#EOS s1\n",
-        "#BOS s1\na\tNN\t--\t0\n#EOS s2\n",  # mismatched #EOS
-        "#BOS s1\na b\tNN\t--\t0\n#EOS s1\n",  # space in form
-        "#BOS s1\na\u00a0b\tNN\t--\t0\n#EOS s1\n",  # no-break space in form
+        pytest.param(text, line, id=text)
+        for text, line in [
+            ("#BOS s1\na\tNN\t--\t0\n\n#EOS s1\n", 3),  # blank line inside block
+            ("#BOS s1\na\tNN\t--\n#EOS s1\n", 2),  # missing field
+            ("#BOS s1\n#EOS s1\n", 2),  # no terminals
+            ("#BOS s1\na\tNN\t--\t0\n", 1),  # missing #EOS
+            ("a\tNN\t--\t0\n", 1),  # data outside block
+            ("#BOS s1\n#501\tNP\t--\t0\na\tNN\t--\t501\n#EOS s1\n", 3),  # terminal after nonterminal
+            ("#BOS s1\na\tNN\t--\t502\nb\tNN\t--\t501\n#502\tNP\t--\t0\n#501\tNP\t--\t0\n#EOS s1\n", 5),
+            ("#BOS s1\na\tNN\t--\t0\n#EOS s2\n", 3),  # mismatched #EOS
+            ("#BOS s1\na b\tNN\t--\t0\n#EOS s1\n", 2),  # space in form
+            ("#BOS s1\na\u00a0b\tNN\t--\t0\n#EOS s1\n", 2),  # no-break space in form
+            ("#BOSS s1\na\tNN\t--\t0\n#EOS s1\n", 1),  # keywords match whole words
+            ("#BOS s1\na\tNN\t--\t0\n#EOSX s1\n", 3),
+            # a fault inside a block comes after the block's earlier lines ...
+            ("#BOS s1\na\tNN\t--\t0\nb\tNN\t--\nc\tNN\t--\t0\n\n#EOS s1\n", 3),
+            # ... and before the checks of the whole tree (here E-PARENT-UNKNOWN)
+            ("#BOS s1\na\tNN\t--\t510\n", 1),
+        ]
     ],
 )
-def test_tb_syntax_errors(text):
-    assert parse_error_code(parse_trees, text) == "E-SYNTAX"
+def test_tb_syntax_errors(text, line):
+    assert parse_error_at(parse_trees, text) == ("E-SYNTAX", line)
 
 
 @pytest.mark.parametrize(
@@ -226,10 +239,12 @@ def test_parse_predarg_empty_document():
         ("PRED p1 lemma=X class=v nodes=t1", "E-SYNTAX"),
         ("ARG p1 role=AGENT nodes=t1", "E-ORDER"),
         ("PRED P1 lemma=X class=v group=X nodes=t1", "E-REF-SYNTAX"),
+        ("#SENTENCE s2", "E-SYNTAX"),  # keywords match whole words
+        ("\nPRED p1 lemma=X class=v group=X nodes=t1", "E-SYNTAX"),  # the blank line is the fault
     ],
 )
 def test_pa_line_errors(line, code):
-    assert parse_error_code(parse_predarg, f"#SENT s1\n{line}\n") == code
+    assert parse_error_at(parse_predarg, f"#SENT s1\n{line}\n") == (code, 2)
 
 
 def test_pa_duplicate_pred_and_role():
@@ -328,18 +343,22 @@ def test_alignment_duplicate_pair_header():
 
 
 @pytest.mark.parametrize(
-    "text,code",
+    "text, code, line",
     [
-        ("PALIGN p1 p1\n", "E-SYNTAX"),
-        ("#PAIR en:s1 de:s1\nPALIGN p1\n", "E-SYNTAX"),
-        ("#PAIR en:s1\nPALIGN p1 p1\n", "E-SYNTAX"),
-        ("#PAIR en:s1 de:s1\nPALIGN p1. p2\n", "E-REF-SYNTAX"),
-        ("#PAIR en:s1 de:s1\nAALIGN p1.x p2.Y\n", "E-REF-SYNTAX"),
-        ("#PAIR en:s1 de:s1\nPALIGN p1 p1 atag=x\n", "E-SYNTAX"),
+        pytest.param(text, code, line, id=f"{text}-{code}")
+        for text, code, line in [
+            ("PALIGN p1 p1\n", "E-SYNTAX", 1),
+            ("#PAIR en:s1 de:s1\nPALIGN p1\n", "E-SYNTAX", 2),
+            ("#PAIR en:s1\nPALIGN p1 p1\n", "E-SYNTAX", 1),
+            ("#PAIR en:s1 de:s1\nPALIGN p1. p2\n", "E-REF-SYNTAX", 2),
+            ("#PAIR en:s1 de:s1\nAALIGN p1.x p2.Y\n", "E-REF-SYNTAX", 2),
+            ("#PAIR en:s1 de:s1\nPALIGN p1 p1 atag=x\n", "E-SYNTAX", 2),
+            ("#PAIRS en:s1 de:s1\nPALIGN p1 p1\n", "E-SYNTAX", 1),  # keywords match whole words
+        ]
     ],
 )
-def test_al_syntax_errors(text, code):
-    assert parse_error_code(parse_alignments, text) == code
+def test_al_syntax_errors(text, code, line):
+    assert parse_error_at(parse_alignments, text) == (code, line)
 
 
 def test_al_fixture_round_trip_is_byte_identical():
@@ -362,6 +381,17 @@ def test_al_header_only_serialization():
         serialize_alignments([SentencePairAlignment("en:s1", "de:s1")])
         == "#PAIR en:s1 de:s1\n"
     )
+
+
+@pytest.mark.parametrize(
+    "name, header, parse",
+    [("en.tb", "#BOS", parse_trees), ("en.pa", "#SENT", parse_predarg), ("en-de.al", "#PAIR", parse_alignments)],
+)
+def test_blank_and_comment_lines_between_blocks_are_ignored(name, header, parse):
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    assert text.count(header) > 1
+    spaced = text.replace(f"\n{header}", f"\n\n%% between blocks\n \n{header}") + "\n%% end\n\n"
+    assert parse(spaced, filename=name) == parse(text, filename=name)
 
 
 def test_comments_ignored_inside_blocks():

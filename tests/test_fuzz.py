@@ -29,7 +29,7 @@ from .test_docs import _README_CODE_RE
 CASES = 100
 # Cases numbered from CASES on draw from LATER_MUTATIONS, kinds added after
 # the first seeds were fixed, so every case below CASES keeps its mutation.
-LATER_CASES = 10
+LATER_CASES = 30
 README_CODES = set(_README_CODE_RE.findall((REPO_ROOT / "README.md").read_text(encoding="utf-8")))
 TAGS_FILE = "tags.registry"
 TARGETS = FIXTURE_FILES + (TAGS_FILE,)
@@ -51,6 +51,8 @@ def _lines_mutation(op):
             del lines[i]
         elif op == "duplicate":
             lines.insert(i, lines[i])
+        elif op == "blank":
+            lines.insert(i, b"")
         else:
             lines[i], lines[j] = lines[j], lines[i]
         return b"\n".join(lines)
@@ -102,7 +104,23 @@ def _non_ascii_digit(rng: random.Random, data: bytes) -> bytes:
     return data[:at] + rng.choice(("\u00b2", "\u0663")).encode("utf-8") + data[at + 1 :]
 
 
-LATER_MUTATIONS = {"non-ascii-digit": _non_ascii_digit}
+def _header_suffix(rng: random.Random, data: bytes) -> bytes:
+    """Lengthen the keyword of one #BOS, #EOS, #SENT or #PAIR line, as in #SENTENCE."""
+    lines = data.split(b"\n")
+    places = [i for i, line in enumerate(lines) if line[:1] == b"#" and line[1:2].isalpha()]
+    if not places:
+        return data
+    i = rng.choice(places)
+    keyword, sep, rest = lines[i].partition(b" ")
+    lines[i] = keyword + rng.choice((b"S", b"X", b"ENCE")) + sep + rest
+    return b"\n".join(lines)
+
+
+LATER_MUTATIONS = {
+    "blank-line": _lines_mutation("blank"),
+    "header-suffix": _header_suffix,
+    "non-ascii-digit": _non_ascii_digit,
+}
 
 
 @pytest.mark.parametrize("seed", range(CASES + LATER_CASES))

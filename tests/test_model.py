@@ -18,8 +18,6 @@ from fusetb.model import (
     ResolutionError,
     SentencePairAlignment,
     SentenceTree,
-    element_of,
-    is_discontinuous,
     node_yield,
     resolve_yield,
 )
@@ -87,14 +85,16 @@ def test_resolve_yield_with_exclusion_is_discontinuous(tree):
         frozenset({NodeRef.parse("n502")}),
         frozenset({NodeRef.parse("n500")}),
     )
-    assert resolve_yield(tree, binding) == [1, 4, 5, 6]
-    assert is_discontinuous(tree, binding)
+    covered = resolve_yield(tree, binding)
+    assert covered == [1, 4, 5, 6]
+    assert covered != list(range(covered[0], covered[-1] + 1))
 
 
 def test_contiguous_yield_is_not_discontinuous(tree):
     binding = Binding(ElemRef("p1"), frozenset({NodeRef.parse("n500")}))
-    assert resolve_yield(tree, binding) == [2, 3]
-    assert not is_discontinuous(tree, binding)
+    covered = resolve_yield(tree, binding)
+    assert covered == [2, 3]
+    assert covered == list(range(covered[0], covered[-1] + 1))
 
 
 def test_empty_yield_raises(tree):
@@ -125,16 +125,16 @@ def test_element_of(tree):
             Binding(ElemRef("p1", "ENT_HARMONISED"), frozenset({NodeRef.parse("n500")})),
         ),
     )
-    pred = element_of(ann, "p1")
+    pred = ann.element(ElemRef.parse("p1"))
     assert isinstance(pred, Predicate)
     assert (pred.lemma, pred.syn_class, pred.group) == ("HARMONISE", "v", "HARMONISE")
-    arg = element_of(ann, "p1.ENT_HARMONISED")
+    arg = ann.element(ElemRef.parse("p1.ENT_HARMONISED"))
     assert isinstance(arg, Argument)
     assert arg.role == "ENT_HARMONISED"
     with pytest.raises(ResolutionError):
-        element_of(ann, "p9")
+        ann.element(ElemRef.parse("p9"))
     with pytest.raises(ResolutionError):
-        element_of(ann, "p1.NOSUCH")
+        ann.element(ElemRef.parse("p1.NOSUCH"))
     assert ann.predicate("p1") == Predicate("p1", "HARMONISE", "v", "HARMONISE")
     assert ann.predicate("p9") is None
 
