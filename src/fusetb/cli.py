@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -19,8 +18,6 @@ from pathlib import Path
 from .corpus import _read, compute_stats, load_corpus, parse_tag_registry, serialize_manifest
 from .formats import Diagnostic, ParseError, serialize_alignments, serialize_predarg, serialize_trees
 from .model import ResolutionError
-from .query import COLUMNS, QueryError, parse_query, run_query
-from .suggest import suggest_roles
 
 EXIT_OK = 0
 EXIT_ERRORS = 1
@@ -65,6 +62,7 @@ def cmd_validate(corpus, args) -> int:
 
 def _print_rows(columns, rows, as_json: bool) -> None:
     if as_json:
+        import json
         for row in rows:
             print(json.dumps(row, ensure_ascii=False))
         return
@@ -74,6 +72,7 @@ def _print_rows(columns, rows, as_json: bool) -> None:
 
 
 def cmd_query(corpus, args) -> int:
+    from .query import COLUMNS, QueryError, parse_query, run_query
     try:
         query = parse_query(args.query)
         rows = run_query(corpus, query)
@@ -109,6 +108,7 @@ def _print_stats_rows(scope: str, stats) -> None:
 def cmd_stats(corpus, args) -> int:
     stats = compute_stats(corpus)
     if args.json:
+        import json
         print(json.dumps(dataclasses.asdict(stats), ensure_ascii=False, indent=2))
         return EXIT_OK
     print("scope\tmetric\tvalue")
@@ -124,6 +124,7 @@ def cmd_stats(corpus, args) -> int:
 
 
 def cmd_suggest(corpus, args) -> int:
+    from .suggest import suggest_roles
     used = [r for r in (args.used.split(",") if args.used else []) if r]
     try:
         suggestions = suggest_roles(corpus, args.lang, args.group, used)
@@ -131,6 +132,7 @@ def cmd_suggest(corpus, args) -> int:
         _print_diags([Diagnostic.error("E-Q-KEY", args.manifest, str(exc))])
         return EXIT_ERRORS
     if args.json:
+        import json
         for s in suggestions:
             print(json.dumps(dataclasses.asdict(s), ensure_ascii=False))
     else:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -36,9 +37,11 @@ from .formats import (
 from .model import (
     DEFAULT_ALIGNMENT_TAGS,
     DEFAULT_BINDING_TAGS,
+    PRED_CLASSES,
     MonolingualAnnotation,
     PairSet,
     ParallelCorpus,
+    ResolutionError,
     TagRegistry,
     split_sentence_key,
 )
@@ -345,65 +348,49 @@ def compute_stats(corpus: ParallelCorpus) -> CorpusStats:
     languages: dict[str, LanguageStats] = {}
     for lang in corpus.languages:
         anns = corpus.treebanks[lang]
-        by_class = {c: 0 for c in ("v", "n", "a")}
-        tags: dict[str, int] = {}
-        n_args = 0
-        for ann in anns:
-            n_args += len(ann.arguments)
-            for pred in ann.predicates:
-                if pred.syn_class in by_class:
-                    by_class[pred.syn_class] += 1
-            for binding in ann.bindings:
-                for tag in binding.tags:
-                    tags[tag] = tags.get(tag, 0) + 1
+        classes = Counter([pred.syn_class for ann in anns for pred in ann.predicates])
+        tags: Counter[str] = Counter()
+        for tag_set, n in Counter([b.tags for ann in anns for b in ann.bindings if b.tags]).items():
+            tags.update(dict.fromkeys(tag_set, n))  # the parsers share equal tags= sets
         languages[lang] = LanguageStats(
             sentences=len(anns),
-            tokens=sum(len(ann.tree.tokens) for ann in anns),
-            predicates=sum(len(ann.predicates) for ann in anns),
-            arguments=n_args,
-            by_class=by_class,
+            tokens=sum([len(ann.tree.tokens) for ann in anns]),
+            predicates=classes.total(),
+            arguments=sum([len(ann.arguments) for ann in anns]),
+            by_class={c: classes[c] for c in PRED_CLASSES},
             binding_tags=dict(sorted(tags.items())),
         )
     set_stats = []
     for pair_set in corpus.pair_sets:
-        pred_tags: dict[str, int] = {}
-        arg_tags: dict[str, int] = {}
-        n_pred = n_arg = 0
+        left_lang, right_lang = pair_set.left_lang, pair_set.right_lang
+        kinds = Counter([a.kind == "pred" for pair in pair_set.pairs for a in pair.alignments])
+        tagged = Counter([(a.kind == "pred", a.tag) for pair in pair_set.pairs
+                          for a in pair.alignments if a.tag is not None])
+        # each sentence once, under the side of the set where it first occurs
+        sides: dict[str, str] = {}
         for pair in pair_set.pairs:
-            for a in pair.alignments:
-                counts = pred_tags if a.kind == "pred" else arg_tags
-                if a.kind == "pred":
-                    n_pred += 1
-                else:
-                    n_arg += 1
-                if a.tag is not None:
-                    counts[a.tag] = counts.get(a.tag, 0) + 1
-        unaligned_preds = {pair_set.left_lang: 0, pair_set.right_lang: 0}
-        unaligned_args = {pair_set.left_lang: 0, pair_set.right_lang: 0}
-        seen_keys = set()
-        for pair in pair_set.pairs:
-            for key, lang in (
-                (pair.left_sentence, pair_set.left_lang),
-                (pair.right_sentence, pair_set.right_lang),
-            ):
-                if key in seen_keys or not corpus.has_sentence(key):
-                    continue
-                seen_keys.add(key)
+            sides.setdefault(pair.left_sentence, left_lang)
+            sides.setdefault(pair.right_sentence, right_lang)
+        unaligned_preds = {left_lang: 0, right_lang: 0}
+        unaligned_args = {left_lang: 0, right_lang: 0}
+        for key, lang in sides.items():
+            try:
                 ann = corpus.sentence(key)
-                # unaligned = declared - aligned; an alignment to an undeclared element counts for nothing
-                aligned = [r.is_predicate for r in pair_set.aligned.get(key, ()) if ann.has_element(r)]
-                n_preds = sum(aligned)
-                unaligned_preds[lang] += len(ann.predicates) - n_preds
-                unaligned_args[lang] += len(ann.arguments) - (len(aligned) - n_preds)
+            except ResolutionError:  # a sentence of an unvalidated corpus that does not resolve
+                continue
+            # unaligned = declared - aligned; an alignment to an undeclared element counts for nothing
+            n_preds, n_args = ann._declared_among(pair_set.aligned.get(key, ()))
+            unaligned_preds[lang] += len(ann.predicates) - n_preds
+            unaligned_args[lang] += len(ann.arguments) - n_args
         set_stats.append(
             PairSetStats(
-                left_lang=pair_set.left_lang,
-                right_lang=pair_set.right_lang,
+                left_lang=left_lang,
+                right_lang=right_lang,
                 pairs=len(pair_set.pairs),
-                pred_alignments=n_pred,
-                arg_alignments=n_arg,
-                pred_tags=dict(sorted(pred_tags.items())),
-                arg_tags=dict(sorted(arg_tags.items())),
+                pred_alignments=kinds[True],
+                arg_alignments=kinds[False],
+                pred_tags=dict(sorted((tag, n) for (is_pred, tag), n in tagged.items() if is_pred)),
+                arg_tags=dict(sorted((tag, n) for (is_pred, tag), n in tagged.items() if not is_pred)),
                 unaligned_predicates=unaligned_preds,
                 unaligned_arguments=unaligned_args,
             )

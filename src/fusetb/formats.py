@@ -95,10 +95,18 @@ def _err(code: str, file: str, line: int | None, message: str):
     raise ParseError(Diagnostic.error(code, file, message, line))
 
 
+# Every character str.split() splits on but space, tab and LF: none may be inside a line.
+_OTHER_SPACE = "".join(map(chr, (*range(0x0B, 0x0E), *range(0x1C, 0x20), 0x85, 0xA0, 0x1680,
+                                 *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)))
+_OTHER_SPACE_RE = re.compile(f"[{_OTHER_SPACE}]")
+
+
 def _lines(text: str, filename: str, strict: bool = True):
     """(line_number, line) for each line of an input file that is not a %% comment.
 
     Strict (the annotation formats) NFC-normalizes and rejects a byte-order mark and CR endings.
+    A line holding other whitespace than space and tab (README, "Corpus layout") is E-SYNTAX, or
+    E-MANIFEST-SYNTAX when not strict; lines are searched for it only in a text that holds some.
     """
     if strict:
         text = unicodedata.normalize("NFC", text)
@@ -107,9 +115,14 @@ def _lines(text: str, filename: str, strict: bool = True):
     raw = text.split("\n")
     if raw and raw[-1] == "":
         raw.pop()
+    spaced = any(c in text for c in _OTHER_SPACE)
     for lineno, line in enumerate(raw, 1):
-        if strict and line.endswith("\r"):
+        if spaced and strict and line.endswith("\r"):
             _err("E-SYNTAX", filename, lineno, "carriage-return line ending (files must be LF)")
+        other = spaced and not line.startswith("%%") and _OTHER_SPACE_RE.search(line.removesuffix("\r"))
+        if other:
+            _err("E-SYNTAX" if strict else "E-MANIFEST-SYNTAX", filename, lineno,
+                 f"whitespace U+{ord(other.group()):04X} in a line (only spaces and tabs separate fields)")
         if not line.startswith("%%"):
             yield lineno, line
 

@@ -347,6 +347,16 @@ class MonolingualAnnotation:
             return ref.pred_id in self._preds
         return (ref.pred_id, ref.role) in self._args
 
+    def _declared_among(self, refs: Iterable[ElemRef]) -> tuple[int, int]:
+        """How many predicates and how many arguments of this sentence refs name."""
+        n_preds = n_args = 0
+        for ref in refs:
+            if ref.role is None:
+                n_preds += ref.pred_id in self._preds
+            else:
+                n_args += (ref.pred_id, ref.role) in self._args
+        return n_preds, n_args
+
     def element(self, ref: ElemRef) -> Predicate | Argument:
         if ref.is_predicate:
             pred = self._preds.get(ref.pred_id)

@@ -1,42 +1,14 @@
 """Query language over a validated corpus.
 
-Grammar: ``command (key[!]=value)*`` with ``!=`` negating a filter.
-Multiple filters conjoin; a positive and a negated filter on the same key
-are contradictory and simply yield no rows.
-
-Commands and their filter keys:
-
-``preds``
-    One row per predicate-predicate alignment. Keys: ``class``,
-    ``aligned-class``, ``tag``, ``aligned-tag`` (binding tags, set
-    membership), ``lemma``, ``group`` (left side), ``atag`` (alignment
-    tag), and the shorthand ``voice=diverge`` which keeps rows where
-    exactly one binding carries the passive tag.
-``aligns``
-    One row per alignment. Keys: ``kind`` (pred|arg), ``atag``.
-``unaligned``
-    Elements that occur in no alignment of any pair set. Keys: ``kind``
-    (pred|arg, required), ``lang``.
-``realizations``
-    Surface realization (bound yield) of a role across every predicate of
-    a group, one row per argument instance. Keys: ``group`` and ``role``
-    (required), ``lang``.
-``frames``
-    Observed valency patterns: one row per distinct (lang, lemma, class,
-    group, binding tags, role set) with a count. Keys: ``lemma`` or
-    ``group`` (at least one required), ``lang``.
-
-Row yields render as space-joined token forms with ``…`` marking
-discontinuity gaps. Evaluation never mutates the corpus and is
-deterministic: rows follow pair-set/pair/left-element order (alignment
-commands) or language/sentence/element order (monolingual commands).
+README.md ("Query language") is the contract: the grammar, each command's filter keys and
+required filters, and its row order. COLUMNS below names each command's columns.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 
 from .model import ElemRef, ParallelCorpus, SentenceTree, resolve_yield
@@ -153,25 +125,30 @@ def check_query(query: Query) -> None:
         raise QueryError("E-Q-KEY", "frames requires lemma= or group=")
 
 
-def _matches(attrs: dict, filters: tuple[Filter, ...]) -> bool:
-    """Whether attrs pass every filter on one of their keys; filters on other keys are skipped.
+def _compile(filters: tuple[Filter, ...], *keys: str):
+    """The filters on keys as one test of the values of keys, given in that order; None when
+    no filter names one. A runner compiles once per query the keys that one scope fixes."""
+    tests = [(keys.index(f.key), not f.negated, bool if f.key == "voice"
+              else frozenset((f.value,)).issubset if f.key in ("tag", "aligned-tag")
+              else frozenset((f.value,)).__contains__) for f in filters if f.key in keys]
+    if not tests:
+        return None
+    if len(keys) == len(tests) == 1 and tests[0][1]:
+        return tests[0][2]  # one positive filter on one key: its C-level test
 
-    A runner checks each filter at the scope that fixes its key (lang once per
-    treebank, kind once per language), so every allowed key is checked exactly once.
-    """
-    for f in filters:
-        if f.key not in attrs:
-            continue
-        raw = attrs[f.key]
-        if isinstance(raw, frozenset):
-            hit = f.value in raw
-        elif isinstance(raw, bool):
-            hit = raw
-        else:
-            hit = raw is not None and raw == f.value
-        if hit == f.negated:
-            return False
-    return True
+    def passes(*values) -> bool:
+        for i, want, hit in tests:
+            if hit(values[i]) is not want:
+                return False
+        return True
+
+    return passes
+
+
+def _languages(corpus: ParallelCorpus, filters: tuple[Filter, ...]) -> list[str]:
+    """The corpus languages the lang filters keep; no other treebank is read."""
+    keep = _compile(filters, "lang")
+    return [lang for lang in corpus.languages if keep is None or keep(lang)]
 
 
 def _tags_text(tags: frozenset[str]) -> str:
@@ -206,111 +183,111 @@ def run_query(corpus: ParallelCorpus, query: Query) -> list[dict[str, str]]:
     return runner(corpus, query.filters)
 
 
-def _alignments(corpus: ParallelCorpus):
-    """(pair, alignment) for every alignment; the sentences are looked up by the rows that need them."""
-    for pair_set in corpus.pair_sets:
-        for pair in pair_set.pairs:
-            for a in pair.alignments:
-                yield pair, a
-
-
 def _run_preds(corpus, filters):
-    # each key is checked once, as soon as it is known, so no binding is resolved for an early miss
+    # each scope's filters are checked once its values are known: no binding is resolved for an early miss
+    keep_alignment = _compile(filters, "atag")
+    keep_left = _compile(filters, "class", "lemma", "group")
+    keep_right = _compile(filters, "aligned-class")
+    keep_tags = _compile(filters, "tag", "aligned-tag", "voice")
     rows = []
-    for pair, a in _alignments(corpus):
-        if a.kind != "pred" or not _matches({"atag": a.tag}, filters):
-            continue
-        left_ann = corpus.sentence(pair.left_sentence)
-        left = left_ann.element(a.left)
-        if not _matches({"class": left.syn_class, "lemma": left.lemma, "group": left.group}, filters):
-            continue
-        right_ann = corpus.sentence(pair.right_sentence)
-        right = right_ann.element(a.right)
-        if not _matches({"aligned-class": right.syn_class}, filters):
-            continue
-        left_tags = left_ann.binding_for(a.left).tags
-        right_tags = right_ann.binding_for(a.right).tags
-        voice = ("pv" in left_tags) != ("pv" in right_tags)
-        if not _matches({"tag": left_tags, "aligned-tag": right_tags, "voice": voice}, filters):
-            continue
-        rows.append({
-            "left_sent": pair.left_sentence,
-            "right_sent": pair.right_sentence,
-            "left_pred": str(a.left),
-            "left_lemma": left.lemma,
-            "left_class": left.syn_class,
-            "left_tags": _tags_text(left_tags),
-            "right_pred": str(a.right),
-            "right_lemma": right.lemma,
-            "right_class": right.syn_class,
-            "right_tags": _tags_text(right_tags),
-            "atag": a.tag or "-",
-        })
+    for pair in chain.from_iterable(pair_set.pairs for pair_set in corpus.pair_sets):
+        left_ann, right_ann = corpus.sentence(pair.left_sentence), corpus.sentence(pair.right_sentence)
+        for a in pair.alignments:
+            if a.kind != "pred" or keep_alignment and not keep_alignment(a.tag):
+                continue
+            left = left_ann.element(a.left)
+            if keep_left and not keep_left(left.syn_class, left.lemma, left.group):
+                continue
+            right = right_ann.element(a.right)
+            if keep_right and not keep_right(right.syn_class):
+                continue
+            left_tags = left_ann.binding_for(a.left).tags
+            right_tags = right_ann.binding_for(a.right).tags
+            voice = ("pv" in left_tags) != ("pv" in right_tags)
+            if keep_tags and not keep_tags(left_tags, right_tags, voice):
+                continue
+            rows.append({
+                "left_sent": pair.left_sentence,
+                "right_sent": pair.right_sentence,
+                "left_pred": str(a.left),
+                "left_lemma": left.lemma,
+                "left_class": left.syn_class,
+                "left_tags": _tags_text(left_tags),
+                "right_pred": str(a.right),
+                "right_lemma": right.lemma,
+                "right_class": right.syn_class,
+                "right_tags": _tags_text(right_tags),
+                "atag": a.tag or "-",
+            })
     return rows
 
 
 def _run_aligns(corpus, filters):
+    keep = _compile(filters, "kind", "atag")
     rows = []
-    for pair, a in _alignments(corpus):
-        if not _matches({"kind": a.kind, "atag": a.tag}, filters):
-            continue
-        if a.kind == "pred":
-            left_label = corpus.sentence(pair.left_sentence).element(a.left).lemma
-            right_label = corpus.sentence(pair.right_sentence).element(a.right).lemma
-        else:
-            left_label = a.left.role
-            right_label = a.right.role
-        rows.append({
-            "kind": a.kind,
-            "left_sent": pair.left_sentence,
-            "right_sent": pair.right_sentence,
-            "left": str(a.left),
-            "left_label": left_label,
-            "right": str(a.right),
-            "right_label": right_label,
-            "atag": a.tag or "-",
-        })
+    for pair in chain.from_iterable(pair_set.pairs for pair_set in corpus.pair_sets):
+        left_ann, right_ann = corpus.sentence(pair.left_sentence), corpus.sentence(pair.right_sentence)
+        for a in pair.alignments:
+            if keep and not keep(a.kind, a.tag):
+                continue
+            if a.kind == "pred":
+                left_label = left_ann.element(a.left).lemma
+                right_label = right_ann.element(a.right).lemma
+            else:
+                left_label = a.left.role
+                right_label = a.right.role
+            rows.append({
+                "kind": a.kind,
+                "left_sent": pair.left_sentence,
+                "right_sent": pair.right_sentence,
+                "left": str(a.left),
+                "left_label": left_label,
+                "right": str(a.right),
+                "right_label": right_label,
+                "atag": a.tag or "-",
+            })
     return rows
 
 
 def _run_unaligned(corpus, filters):
     index = corpus.aligned
+    keep_kind = _compile(filters, "kind")  # never None: kind is required
+    want_preds, want_args = keep_kind("pred"), keep_kind("arg")
     rows = []
-    for lang in corpus.languages:
-        if not _matches({"lang": lang}, filters):
-            continue
-        want_preds = _matches({"kind": "pred"}, filters)
-        want_args = _matches({"kind": "arg"}, filters)
+    for lang in _languages(corpus, filters):
         for ann in corpus.treebanks[lang]:
             sid = ann.sentence_id
-            aligned = index.get(f"{lang}:{sid}", frozenset())
-            # element_refs() lists the predicates' refs, then the arguments'
-            refs = ann.element_refs()
+            aligned = index.get(f"{lang}:{sid}", ())
+            # pred ids and (pred_id, role) tuples hash in C, an ElemRef in Python
             if want_preds:
+                ids = {ref.pred_id for ref in aligned if ref.role is None}
                 rows += [
                     {"lang": lang, "sent": sid, "ref": p.pred_id, "kind": "pred", "label": p.lemma}
-                    for ref, p in zip(refs, ann.predicates)
-                    if ref not in aligned
+                    for p in ann.predicates
+                    if p.pred_id not in ids
                 ]
             if want_args:
+                keys = {(ref.pred_id, ref.role) for ref in aligned}
                 rows += [
                     {"lang": lang, "sent": sid, "ref": f"{a.pred_id}.{a.role}", "kind": "arg",
                      "label": a.role}
-                    for ref, a in zip(refs[len(ann.predicates):], ann.arguments)
-                    if ref not in aligned
+                    for a in ann.arguments
+                    if (a.pred_id, a.role) not in keys
                 ]
     return rows
 
 
 def _run_realizations(corpus, filters):
+    keep_role = _compile(filters, "role")  # never None: role and group are required
+    keep_group = _compile(filters, "group")
     rows = []
-    for lang in corpus.languages:
-        if not _matches({"lang": lang}, filters):
-            continue
+    for lang in _languages(corpus, filters):
         for ann in corpus.treebanks[lang]:
             for arg in ann.arguments:
+                if not keep_role(arg.role):
+                    continue
                 pred = ann.predicate(arg.pred_id)
-                if not _matches({"group": pred.group, "role": arg.role}, filters):
+                if not keep_group(pred.group):
                     continue
                 binding = ann.binding_for(ElemRef.of(arg.pred_id, arg.role))
                 covered = resolve_yield(ann.tree, binding)
@@ -328,13 +305,12 @@ def _run_realizations(corpus, filters):
 
 def _run_frames(corpus, filters):
     counts: dict[tuple, int] = {}
-    for lang in corpus.languages:
-        if not _matches({"lang": lang}, filters):
-            continue
+    keep = _compile(filters, "lemma", "group")  # never None: lemma or group is required
+    for lang in _languages(corpus, filters):
         for ann in corpus.treebanks[lang]:
             frames = None  # pred_id -> its roles joined, built at the first kept predicate
             for pred in ann.predicates:
-                if not _matches({"lemma": pred.lemma, "group": pred.group}, filters):
+                if not keep(pred.lemma, pred.group):
                     continue
                 if frames is None:  # arguments are sorted by (pred_id, role)
                     frames = {pid: "+".join(a.role for a in args)

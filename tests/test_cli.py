@@ -389,3 +389,50 @@ def test_closed_stdout_is_an_io_diagnostic(argv):
     assert done.stderr.splitlines() == [
         "ERROR\tE-IO\t<stdout>\tcannot write: [Errno 32] Broken pipe"
     ]
+
+
+def _run_python(code: str) -> str:
+    """Stdout of code run in a fresh interpreter from the repository root."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=REPO_ROOT,
+        stdout=subprocess.PIPE,
+        check=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    return done.stdout
+
+
+def test_validate_imports_neither_query_nor_suggest_nor_json():
+    out = _run_python(
+        "import sys, fusetb.cli\n"
+        "code = fusetb.cli.main(['validate', 'fixtures/corpus.manifest'])\n"
+        "print(code, [m for m in ('fusetb.query', 'fusetb.suggest', 'json') if m in sys.modules])\n"
+    )
+    assert out == "0 []\n"
+
+
+PACKAGE_NAMES = (
+    "Alignment", "Argument", "Binding", "CorpusStats", "Diagnostic", "ElemRef", "EmptyYieldError",
+    "Manifest", "MonolingualAnnotation", "NodeRef", "PairSet", "ParallelCorpus", "ParseError",
+    "PredArg", "Predicate", "Query", "QueryError", "ResolutionError", "RoleSuggestion",
+    "SentencePairAlignment", "SentenceTree", "TagRegistry", "compute_stats", "corpus", "formats",
+    "load_corpus", "model", "node_yield", "parse_alignments", "parse_manifest", "parse_predarg",
+    "parse_query", "parse_trees", "query", "resolve_yield", "run_query", "serialize_alignments",
+    "serialize_predarg", "serialize_trees", "suggest", "suggest_roles", "validate",
+    "validate_corpus", "validate_monolingual", "validate_pair",
+)
+
+
+def test_every_package_name_resolves_and_star_imports():
+    out = _run_python(
+        "import fusetb\n"
+        f"names = {PACKAGE_NAMES!r}\n"
+        "missing = [n for n in names if not hasattr(fusetb, n)]\n"
+        "star = {}\n"
+        "exec('from fusetb import *', star)\n"
+        "print(missing, sorted(set(names) ^ set(star) - {'__builtins__'}), hasattr(fusetb, 'nosuch'))\n"
+    )
+    assert out == "[] [] False\n"
+

@@ -61,6 +61,26 @@ def test_manifest_errors(text, code):
     assert manifest_error_code(text) == code
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "LANG en TREES a.tb\rPREDARG a.pa\n",
+        "LANG en TREES a.tb PREDARG a.pa\nALIGN en\u00a0en x.al\n",
+        "LANG en TREES a.tb PREDARG a.pa\r\nBINDTAGS\x0cpv\r\n",
+    ],
+    ids=["cr", "nbsp", "form-feed"],
+)
+def test_manifest_fields_are_separated_by_spaces_and_tabs_only(text):
+    with pytest.raises(ParseError) as excinfo:
+        parse_manifest(text, "m")
+    assert excinfo.value.diagnostic.code == "E-MANIFEST-SYNTAX"
+    assert excinfo.value.diagnostic.line == text.count("\n")
+    spaced = parse_manifest(" LANG\ten  TREES a.tb PREDARG a.pa \r\n%% a\u00a0comment\n")
+    assert spaced == parse_manifest("LANG en TREES a.tb PREDARG a.pa\n")
+    with pytest.raises(ParseError):
+        parse_tag_registry("BINDTAGS\u3000pv\n")
+
+
 def test_manifest_round_trip():
     text = (FIXTURES / "corpus.manifest").read_text(encoding="utf-8")
     assert serialize_manifest(parse_manifest(text)) == text
@@ -362,5 +382,63 @@ def test_unaligned_stats_of_a_hand_built_unvalidated_corpus():
     [stats] = compute_stats(corpus).pair_sets
     assert stats.unaligned_predicates == {"en": 1, "de": 0}
     assert stats.unaligned_arguments == {"en": 1, "de": 0}
+    expected = oracle_unaligned_counts(corpus, corpus.pair_sets[0])
+    assert (stats.unaligned_predicates, stats.unaligned_arguments) == expected
+
+
+def _en_en_corpus():
+    """en:s2 is the right sentence of one pair and the left of the next; its p1 is aligned in both."""
+    from fusetb.model import (
+        Alignment,
+        Argument,
+        ElemRef,
+        MonolingualAnnotation,
+        PairSet,
+        ParallelCorpus,
+        Predicate,
+        SentencePairAlignment,
+        SentenceTree,
+    )
+
+    def ann(sid, preds, args):
+        tree = SentenceTree(sid, ("w",), ("NN",), (None,), (0,))
+        return MonolingualAnnotation(
+            tree,
+            tuple(Predicate(p, "GIVE", "v", "GIVE") for p in preds),
+            tuple(Argument(p, r) for p, r in args),
+        )
+
+    en = (
+        ann("s1", ["p1", "p2"], [("p1", "AGENT")]),
+        ann("s2", ["p1", "p2"], [("p1", "AGENT"), ("p2", "THEME")]),
+        ann("s3", ["p1"], []),
+    )
+    pairs = (
+        SentencePairAlignment("en:s1", "en:s2", (
+            Alignment("pred", ElemRef("p1"), ElemRef("p1")),
+            Alignment("arg", ElemRef("p1", "AGENT"), ElemRef("p1", "AGENT")),
+        )),
+        SentencePairAlignment("en:s2", "en:s3", (Alignment("pred", ElemRef("p1"), ElemRef("p1")),)),
+    )
+    return ParallelCorpus({"en": en}, (PairSet("en", "en", pairs),))
+
+
+def test_unaligned_stats_count_a_sentence_on_both_sides_once():
+    corpus = _en_en_corpus()
+    [stats] = compute_stats(corpus).pair_sets
+    # en:s1 p2, en:s2 p2 and en:s2 p2.THEME, each once although en:s2 is in two pairs
+    assert stats.unaligned_predicates == {"en": 2}
+    assert stats.unaligned_arguments == {"en": 1}
+    expected = oracle_unaligned_counts(corpus, corpus.pair_sets[0])
+    assert (stats.unaligned_predicates, stats.unaligned_arguments) == expected
+
+
+def test_unaligned_stats_count_an_element_aligned_in_two_pairs_as_aligned_once():
+    corpus = _en_en_corpus()
+    first, second = corpus.pair_sets[0].pairs
+    assert (first.right_sentence, second.left_sentence) == ("en:s2", "en:s2")
+    [stats] = compute_stats(corpus).pair_sets
+    # subtracting en:s2 p1 once per pair would leave en:s2 p2 uncounted
+    assert stats.unaligned_predicates["en"] == 2
     expected = oracle_unaligned_counts(corpus, corpus.pair_sets[0])
     assert (stats.unaligned_predicates, stats.unaligned_arguments) == expected

@@ -52,3 +52,20 @@ def test_readme_command_line_example_runs(line, tmp_path, monkeypatch, capsys):
         assert out != ""
     if argv[0] == "export":
         assert (tmp_path / "exported" / "corpus.manifest").is_file()
+
+
+def test_readme_library_example_runs():
+    import os
+    import subprocess
+    import sys
+
+    section = _README.split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    check = "assert diagnostics == [] and rows and suggestions\n"
+    subprocess.run(
+        [sys.executable, "-c", example + check],
+        cwd=REPO_ROOT,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+

@@ -195,6 +195,42 @@ def test_carriage_return_is_rejected(parse, text):
     assert "carriage-return" in diag.message
 
 
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_predarg, "#SENT s1\nPRED p1\rlemma=X class=v group=X nodes=t1\n", 2),
+        (parse_alignments, "#PAIR en:s1\rde:s1\nPALIGN p1 p1\n", 1),
+        (parse_predarg, "#SENT s1\nPRED p1\u00a0lemma=X class=v group=X nodes=t1\n", 2),
+        (parse_predarg, "#SENT\u2003s1\nPRED p1 lemma=X class=v group=X nodes=t1\n", 1),
+        (parse_alignments, "#PAIR en:s1 de:s1\nPALIGN p1\x1fp1\n", 2),
+        (parse_trees, "#BOS\x0bs1\na\tNN\t--\t0\n#EOS s1\n", 1),
+        (parse_trees, "#BOS s1\na\tNN\t--\t0\n#EOS s1\x85\n", 3),
+    ],
+    ids=["pa-cr", "al-header-cr", "pa-nbsp", "pa-header-em-space", "al-unit-separator",
+         "tb-header-vt", "tb-closer-nel"],
+)
+def test_only_spaces_and_tabs_separate_fields(parse, text, line):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text, filename="f")
+    diag = excinfo.value.diagnostic
+    assert (diag.code, diag.file, diag.line) == ("E-SYNTAX", "f", line)
+    assert "whitespace U+" in diag.message
+
+
+def test_spaces_and_tabs_between_fields_are_kept():
+    spaced = "#SENT  s1 \n\t PRED p1  lemma=X\tclass=v group=X nodes=t1 \n%% any\u00a0comment\r \n"
+    assert parse_predarg(spaced) == parse_predarg("#SENT s1\nPRED p1 lemma=X class=v group=X nodes=t1\n")
+    tabbed = "#PAIR\ten:s1 \t de:s1\nPALIGN p1\t\tp1 \n"
+    assert parse_alignments(tabbed) == parse_alignments("#PAIR en:s1 de:s1\nPALIGN p1 p1\n")
+
+
+def test_other_space_lists_every_split_character():
+    from fusetb.formats import _OTHER_SPACE
+
+    split_on = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(_OTHER_SPACE) == split_on - {" ", "\t", "\n"}
+
+
 # ---------------------------------------------------------------------------
 # .pa
 

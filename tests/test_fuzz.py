@@ -116,10 +116,21 @@ def _header_suffix(rng: random.Random, data: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def _inner_whitespace(rng: random.Random, data: bytes) -> bytes:
+    """Put another whitespace character, such as a CR or a no-break space, in place of a space or tab."""
+    places = [i for i, byte in enumerate(data) if byte in b" \t"]
+    if not places:
+        return data
+    at = rng.choice(places)
+    other = rng.choice(("\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u3000"))
+    return data[:at] + other.encode("utf-8") + data[at + 1 :]
+
+
 LATER_MUTATIONS = {
     "blank-line": _lines_mutation("blank"),
     "header-suffix": _header_suffix,
     "non-ascii-digit": _non_ascii_digit,
+    "inner-whitespace": _inner_whitespace,
 }
 
 

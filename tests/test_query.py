@@ -233,3 +233,48 @@ def test_lang_filter_reads_no_annotation_of_another_language(fixture_corpus, tex
     guarded = dataclasses.replace(fixture_corpus)
     guarded.treebanks["de"] = tuple(_Tripwire() for _ in guarded.treebanks["de"])
     assert run_query(guarded, parse_query(text)) == expected != []
+
+
+def repeated_key_cases(corpus):
+    """(command, filters) where one key's filters repeat, each added to every required filter
+    set: two different positive values, one negated value twice, and a negation before its
+    positive."""
+    pools = value_pools(corpus)
+    for command, keys in FILTER_KEYS.items():
+        for base in required_filters(command, corpus):
+            for key in keys:
+                first, last = pools[key][0], pools[key][-1]
+                for repeated in (
+                    (Filter(key, False, first), Filter(key, False, last)),
+                    (Filter(key, True, first), Filter(key, True, first)),
+                    (Filter(key, True, first), Filter(key, False, first)),
+                ):
+                    yield command, base + repeated
+
+
+def test_filters_that_repeat_a_key_match_the_oracle(fixture_corpus):
+    rng = random.Random(17)
+    corpora = [fixture_corpus] + [random_corpus(rng) for _ in range(6)]
+    n_cases = n_rows = 0
+    for corpus in corpora:
+        for command, filters in repeated_key_cases(corpus):
+            assert_query_matches_oracle(corpus, command, filters)
+            n_cases += 1
+            n_rows += run_query(corpus, Query(command, filters)) != []
+            last = filters[-1]
+            if not last.negated and filters[-2] == Filter(last.key, True, last.value):
+                assert run_query(corpus, Query(command, filters)) == [], (command, filters)
+    assert n_cases > 500 and n_rows > 60, (n_cases, n_rows)
+
+
+@pytest.mark.parametrize("command", ["unaligned kind=arg", "realizations group=GIVE role=GIVER",
+                                     "frames group=GIVE"])
+@pytest.mark.parametrize("langs", ["lang!=de lang!=de", "lang=en lang!=de", "lang=en lang=en"])
+def test_repeated_lang_filters_read_no_annotation_of_another_language(fixture_corpus, command, langs):
+    import dataclasses
+
+    query = parse_query(f"{command} {langs}")
+    expected = run_query(fixture_corpus, query)
+    guarded = dataclasses.replace(fixture_corpus)
+    guarded.treebanks["de"] = tuple(_Tripwire() for _ in guarded.treebanks["de"])
+    assert run_query(guarded, query) == expected != []
