@@ -1,17 +1,6 @@
 """Manifest handling, corpus assembly and corpus statistics.
 
-A corpus is defined by a plain-text manifest; the corpus itself is the
-union of the per-language annotation files plus the alignment sets::
-
-    LANG <code> TREES <path> PREDARG <path>
-    ALIGN <codeA> <codeB> <path>
-    BINDTAGS <tag>[,<tag>...]      optional, replaces the default registry
-    ALIGNTAGS <tag>[,<tag>...]     optional, replaces the default registry
-
-Paths are relative to the manifest and must not contain whitespace.
-``%%`` comments and blank lines are allowed. Sentence ids are qualified
-with the language code (``en:s1``) once loaded, which keeps the union of
-treebanks well-defined.
+README.md ("Corpus layout") is the contract for the manifest grammar.
 """
 
 from __future__ import annotations

@@ -1,32 +1,7 @@
 """In-memory model of layered parallel-treebank annotation.
 
-A corpus is built from four layers per language pair: constituent trees
-(tuples of forms, labels, edges and parent ids), predicate-argument
-structures (predicates with class and group, role-named arguments),
-a binding layer attaching each predicate/argument to tree nodes (with
-optional excluded sub-nodes and binding tags), and a cross-lingual
-alignment layer of tagged predicate/argument links.
-
-All objects are immutable; loaders normalize collection order at
-construction so that structurally equal annotations compare equal
-regardless of source file order (token order excepted, which is
-meaningful). The small value types use slots. Derived indexes (lookup
-tables, element refs, the per-pair-set alignment index) take no part in
-equality, repr or `dataclasses.replace`; the alignment indexes are built
-on first read. Building one twice gives equal results, so a loaded corpus
-is safe to share across threads.
-
-Equal immutable leaves may be shared objects: NodeRef.parse, terminal and
-nonterminal return one NodeRef per (kind, num), ElemRef.parse and ElemRef.of
-one ElemRef per (pred_id, role), and the per-sentence indexes of
-MonolingualAnnotation one (pred_id, role) key tuple per element, each from a
-table of fixed size; every empty Binding.excluded and Binding.tags is one
-frozenset. The parsers add equal node sets, tag sets, labels, forms within a
-file, node ids and interned predicate ids and names. Trees keep no child
-index. MonolingualAnnotation uses slots, and its binding index stores an
-element's one binding bare and only duplicates as a tuple. The serializers
-of formats.py build one string per sentence block and join the blocks.
-Identity is not part of the API; compare with ==.
+README.md ("Library") is the contract: immutability, canonical order, shared leaves and
+derived indexes.
 """
 
 from __future__ import annotations
@@ -169,9 +144,9 @@ class SentenceTree:
     nonterminals in the order of `nt_ids`, which ascend. A label is a POS
     for a terminal and a category for a nonterminal; an absent edge is
     None; a parent is a nonterminal id or the virtual root (0). There is
-    no stored child index: children and yields are read from `parents` on
-    each call. The parsers guarantee structural invariants (unique ids,
-    acyclicity, no childless nonterminals) for loaded data.
+    no stored child index: yields are read from `parents` on each call.
+    The parsers guarantee structural invariants (unique ids, acyclicity,
+    no childless nonterminals) for loaded data.
     """
 
     sentence_id: str
@@ -194,10 +169,6 @@ class SentenceTree:
         elif ref.num in self.nt_ids:
             return self.parents[len(self.tokens) + self.nt_ids.index(ref.num)]
         raise ResolutionError(f"sentence {self.sentence_id}: unknown node {ref}")
-
-    def children_of(self, node_id: int) -> tuple[NodeRef, ...]:
-        """Direct children of a nonterminal id (or 0 for the virtual root), in column order."""
-        return tuple(ref for ref, parent in zip(self.node_refs(), self.parents) if parent == node_id)
 
     def node_refs(self):
         """Every node in column order: terminals, then nonterminals."""

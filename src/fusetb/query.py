@@ -226,13 +226,14 @@ def _run_aligns(corpus, filters):
     keep = _compile(filters, "kind", "atag")
     rows = []
     for pair in chain.from_iterable(pair_set.pairs for pair_set in corpus.pair_sets):
-        left_ann, right_ann = corpus.sentence(pair.left_sentence), corpus.sentence(pair.right_sentence)
+        anns = None  # only pred rows read the sentences: looked up at the pair's first one
         for a in pair.alignments:
             if keep and not keep(a.kind, a.tag):
                 continue
             if a.kind == "pred":
-                left_label = left_ann.element(a.left).lemma
-                right_label = right_ann.element(a.right).lemma
+                anns = anns or (corpus.sentence(pair.left_sentence), corpus.sentence(pair.right_sentence))
+                left_label = anns[0].element(a.left).lemma
+                right_label = anns[1].element(a.right).lemma
             else:
                 left_label = a.left.role
                 right_label = a.right.role

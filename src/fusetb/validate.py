@@ -1,35 +1,17 @@
 """Cross-layer validation of annotations against the model's well-formedness rules.
 
-Error codes (monolingual): E-BIND-MISSING (element without exactly one
-binding), E-BIND-DANGLE (binding node or target does not resolve),
-E-EXCL-NOT-DESC (excluded node is not a proper descendant of an included
-node), E-INCL-NESTED (included nodes stand in a dominance relation),
-E-YIELD-EMPTY (nothing left after exclusions), E-RECURSION (argument
-yield overlaps its own predicate's yield), E-TAG-ON-ARG (binding tag on
-an argument binding), all from validate_monolingual. A predicate group
-spans sentences, so the warning W-ROLE-NEAR-DUP (suspiciously similar
-role names inside one group) comes from the treebank-wide
-check_group_roles, which validate_corpus runs per language.
-
-Error codes (pair level): E-ALIGN-DANGLE (endpoint or sentence does not
-resolve), E-ALIGN-KIND (endpoint shape contradicts the alignment kind),
-E-ALIGN-DUP (element aligned more than once in a pair), E-ALIGN-ORPHAN-ARG
-(argument alignment whose owner predicates are not aligned in the same
-pair), E-ALIGN-TAG (tag not in the registry).
-
-Unaligned elements are never diagnostics: deliberate non-alignment is a
-legitimate annotation decision. All functions are pure and return
-diagnostics sorted by (file, line, code, message).
+README.md ("Diagnostic codes") is the contract: each check's code, and the order of the diagnostics.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .formats import WARNING, Diagnostic
 from .model import (
-    Binding,
     ElemRef,
     EmptyYieldError,
     MonolingualAnnotation,
@@ -82,72 +64,13 @@ def check_group_roles(
     groups: dict[str, set[str]] = {}
     for group, role in group_roles(annotations):
         groups.setdefault(group, set()).add(role)
-    diags = []
-    for group in sorted(groups):
-        roles = sorted(groups[group])
-        for i, role_a in enumerate(roles):
-            for role_b in roles[i + 1 :]:
-                if roles_near_duplicate(role_a, role_b):
-                    diags.append(
-                        Diagnostic(
-                            WARNING,
-                            "W-ROLE-NEAR-DUP",
-                            file,
-                            None,
-                            f"group {group}: roles {role_a} and {role_b} look like near-duplicates",
-                        )
-                    )
-    return _sorted_unique(diags)
-
-
-def _check_binding(
-    ann: MonolingualAnnotation, binding: Binding, file: str, diags: list[Diagnostic]
-) -> list[int] | None:
-    """Append the binding's diagnostics to diags; its yield, or None if a node dangles or it is empty."""
-    tree = ann.tree
-    sid = ann.sentence_id
-    where = f"sentence {sid}, binding of {binding.target}"
-    if not ann.has_element(binding.target):
-        diags.append(Diagnostic.error("E-BIND-DANGLE", file, f"{where}: target is not a declared element"))
-    if binding.tags and not binding.target.is_predicate:
-        diags.append(
-            Diagnostic.error(
-                "E-TAG-ON-ARG",
-                file,
-                f"{where}: binding tags {sorted(binding.tags)} are only legal on predicates",
-            )
-        )
-    dangling = [ref for ref in sorted(binding.included | binding.excluded, key=lambda r: r.sort_key)
-                if not tree.has_node(ref)]
-    if dangling:
-        for ref in dangling:
-            diags.append(Diagnostic.error("E-BIND-DANGLE", file, f"{where}: node {ref} not in tree"))
-        return None
-    included = sorted(binding.included, key=lambda r: r.sort_key)
-    for i, ref_a in enumerate(included):
-        for ref_b in included[i + 1 :]:
-            if is_ancestor(tree, ref_a, ref_b) or is_ancestor(tree, ref_b, ref_a):
-                diags.append(
-                    Diagnostic.error(
-                        "E-INCL-NESTED",
-                        file,
-                        f"{where}: included nodes {ref_a} and {ref_b} are nested",
-                    )
-                )
-    for ref in sorted(binding.excluded, key=lambda r: r.sort_key):
-        if not any(is_ancestor(tree, inc, ref) for inc in binding.included):
-            diags.append(
-                Diagnostic.error(
-                    "E-EXCL-NOT-DESC",
-                    file,
-                    f"{where}: excluded node {ref} is not a proper descendant of an included node",
-                )
-            )
-    try:
-        return resolve_yield(tree, binding)
-    except EmptyYieldError:
-        diags.append(Diagnostic.error("E-YIELD-EMPTY", file, f"{where}: empty binding yield"))
-        return None
+    return _sorted_unique([
+        Diagnostic(WARNING, "W-ROLE-NEAR-DUP", file, None,
+                   f"group {group}: roles {role_a} and {role_b} look like near-duplicates")
+        for group, roles in groups.items()
+        for role_a, role_b in combinations(sorted(roles), 2)
+        if roles_near_duplicate(role_a, role_b)
+    ])
 
 
 def validate_monolingual(
@@ -155,47 +78,54 @@ def validate_monolingual(
 ) -> list[Diagnostic]:
     """All single-sentence checks; one diagnostic per violation."""
     diags: list[Diagnostic] = []
-    sid = annotation.sentence_id
+    sid, tree = annotation.sentence_id, annotation.tree
+
+    def error(code: str, message: str) -> None:
+        diags.append(Diagnostic.error(code, file, f"sentence {sid}{message}"))
+
     for ref in annotation.element_refs():
         n = len(annotation.bindings_for(ref))
         if n != 1:
-            diags.append(
-                Diagnostic.error(
-                    "E-BIND-MISSING",
-                    file,
-                    f"sentence {sid}: element {ref} has {n} bindings, expected exactly one",
-                )
-            )
-    # only an element with exactly one binding has a yield
+            error("E-BIND-MISSING", f": element {ref} has {n} bindings, expected exactly one")
+    # only an element with exactly one binding has a yield; a binding with a dangling node has none
     yields: dict[ElemRef, list[int] | None] = {}
     for binding in annotation.bindings:
-        found = _check_binding(annotation, binding, file, diags)
-        yields[binding.target] = None if binding.target in yields else found
+        target, included, excluded = binding.target, binding.included, binding.excluded
+        at = f", binding of {target}:"
+        if not annotation.has_element(target):
+            error("E-BIND-DANGLE", f"{at} target is not a declared element")
+        if binding.tags and not target.is_predicate:
+            error("E-TAG-ON-ARG", f"{at} binding tags {sorted(binding.tags)} are only legal on predicates")
+        dangling = [ref for ref in included | excluded if not tree.has_node(ref)]
+        for ref in dangling:
+            error("E-BIND-DANGLE", f"{at} node {ref} not in tree")
+        found = None
+        if not dangling:
+            # sorted, so that E-INCL-NESTED names the nodes of a pair in one order
+            for ref_a, ref_b in combinations(sorted(included, key=lambda r: r.sort_key), 2):
+                if is_ancestor(tree, ref_a, ref_b) or is_ancestor(tree, ref_b, ref_a):
+                    error("E-INCL-NESTED", f"{at} included nodes {ref_a} and {ref_b} are nested")
+            for ref in excluded:
+                if not any(is_ancestor(tree, inc, ref) for inc in included):
+                    error("E-EXCL-NOT-DESC",
+                          f"{at} excluded node {ref} is not a proper descendant of an included node")
+            try:
+                found = resolve_yield(tree, binding)
+            except EmptyYieldError:
+                error("E-YIELD-EMPTY", f"{at} empty binding yield")
+        yields[target] = None if target in yields else found
     # recursion-freedom: an argument's yield may not overlap its predicate's
     for arg in annotation.arguments:
         if annotation.predicate(arg.pred_id) is None:
-            diags.append(
-                Diagnostic.error(
-                    "E-BIND-DANGLE",
-                    file,
-                    f"sentence {sid}: argument {arg.pred_id}.{arg.role} owned by unknown predicate",
-                )
-            )
+            error("E-BIND-DANGLE", f": argument {arg.pred_id}.{arg.role} owned by unknown predicate")
             continue
         arg_yield = yields.get(ElemRef.of(arg.pred_id, arg.role))
         pred_yield = yields.get(ElemRef.of(arg.pred_id))
-        if arg_yield is None or pred_yield is None:
-            continue
-        overlap = sorted(set(arg_yield) & set(pred_yield))
-        if overlap:
-            diags.append(
-                Diagnostic.error(
-                    "E-RECURSION",
-                    file,
-                    f"sentence {sid}: argument {arg.pred_id}.{arg.role} yield overlaps its"
-                    f" predicate's yield at tokens {overlap}",
-                )
-            )
+        if arg_yield and pred_yield:
+            overlap = sorted(set(arg_yield) & set(pred_yield))
+            if overlap:
+                error("E-RECURSION", f": argument {arg.pred_id}.{arg.role} yield overlaps its"
+                                     f" predicate's yield at tokens {overlap}")
     return _sorted_unique(diags)
 
 
@@ -204,67 +134,39 @@ def validate_pair(
 ) -> list[Diagnostic]:
     """Alignment-layer checks for one sentence pair."""
     diags: list[Diagnostic] = []
-    where = f"pair {pair.left_sentence} {pair.right_sentence}"
-    sides = {}
-    missing = False
-    for key in (pair.left_sentence, pair.right_sentence):
-        if corpus.has_sentence(key):
-            sides[key] = corpus.sentence(key)
-        else:
-            diags.append(Diagnostic.error("E-ALIGN-DANGLE", file, f"{where}: unknown sentence {key}"))
-            missing = True
-    if missing:
+    keys = (pair.left_sentence, pair.right_sentence)
+
+    def error(code: str, message: str) -> None:
+        diags.append(Diagnostic.error(code, file, f"pair {keys[0]} {keys[1]}: {message}"))
+
+    for key in keys:
+        if not corpus.has_sentence(key):
+            error("E-ALIGN-DANGLE", f"unknown sentence {key}")
+    if diags:
         return _sorted_unique(diags)
-    left_ann = sides[pair.left_sentence]
-    right_ann = sides[pair.right_sentence]
-    occurrences: dict[tuple[str, ElemRef], int] = {}
-    pred_links = set()
+    anns = (corpus.sentence(keys[0]), corpus.sentence(keys[1]))
+    pred_links = {(a.left.pred_id, a.right.pred_id) for a in pair.alignments if a.kind == "pred"}
+    endpoints = []
     for a in pair.alignments:
-        if a.kind == "pred":
-            pred_links.add((a.left.pred_id, a.right.pred_id))
-    for a in pair.alignments:
-        link = f"{where}: {a.left} ~ {a.right}"
+        link = f"{a.left} ~ {a.right}"
         want_role = a.kind == "arg"
         if (a.left.role is not None) != want_role or (a.right.role is not None) != want_role:
             # a malformed record is reported once; its endpoints are not
             # fed into the duplicate/orphan bookkeeping
-            diags.append(
-                Diagnostic.error(
-                    "E-ALIGN-KIND",
-                    file,
-                    f"{link}: endpoint shape does not match {a.kind}-{a.kind} alignment",
-                )
-            )
+            error("E-ALIGN-KIND", f"{link}: endpoint shape does not match {a.kind}-{a.kind} alignment")
             continue
-        for key, ann, ref in (
-            (pair.left_sentence, left_ann, a.left),
-            (pair.right_sentence, right_ann, a.right),
-        ):
+        for key, ann, ref in zip(keys, anns, (a.left, a.right)):
             if not ann.has_element(ref):
-                diags.append(
-                    Diagnostic.error("E-ALIGN-DANGLE", file, f"{link}: {key} has no element {ref}")
-                )
-            occurrences[(key, ref)] = occurrences.get((key, ref), 0) + 1
+                error("E-ALIGN-DANGLE", f"{link}: {key} has no element {ref}")
+            endpoints.append((key, ref))
         if a.tag is not None and a.tag not in corpus.tag_registry.alignment_tags:
-            diags.append(Diagnostic.error("E-ALIGN-TAG", file, f"{link}: unregistered tag {a.tag!r}"))
-        if a.kind == "arg" and (a.left.pred_id, a.right.pred_id) not in pred_links:
-            diags.append(
-                Diagnostic.error(
-                    "E-ALIGN-ORPHAN-ARG",
-                    file,
-                    f"{link}: owner predicates {a.left.pred_id} and {a.right.pred_id}"
-                    " are not aligned in this pair",
-                )
-            )
-    for (key, ref), count in sorted(occurrences.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key)):
+            error("E-ALIGN-TAG", f"{link}: unregistered tag {a.tag!r}")
+        if want_role and (a.left.pred_id, a.right.pred_id) not in pred_links:
+            error("E-ALIGN-ORPHAN-ARG", f"{link}: owner predicates {a.left.pred_id} and"
+                                        f" {a.right.pred_id} are not aligned in this pair")
+    for (key, ref), count in Counter(endpoints).items():
         if count > 1:
-            diags.append(
-                Diagnostic.error(
-                    "E-ALIGN-DUP",
-                    file,
-                    f"{where}: element {ref} of {key} appears in {count} alignments",
-                )
-            )
+            error("E-ALIGN-DUP", f"element {ref} of {key} appears in {count} alignments")
     return _sorted_unique(diags)
 
 

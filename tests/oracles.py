@@ -33,13 +33,6 @@ def brute_yield(tree: SentenceTree, ref) -> list[int]:
     return sorted(out)
 
 
-def brute_children(tree: SentenceTree, node_id: int) -> list[tuple[str, int]]:
-    """(kind, num) of every node whose parent is node_id, terminals then nonterminals."""
-    n = len(tree.tokens)
-    numbers = [("t", index) for index in range(1, n + 1)] + [("n", nt) for nt in tree.nt_ids]
-    return [number for number, parent in zip(numbers, tree.parents) if parent == node_id]
-
-
 def brute_resolve(tree: SentenceTree, binding: Binding) -> list[int]:
     included: set[int] = set()
     for ref in binding.included:

@@ -25,7 +25,6 @@ from fusetb.validate import validate_monolingual
 
 from .conftest import FIXTURES
 from .generators import random_corpus, write_corpus_files
-from .oracles import brute_children
 
 FIXTURE_MANIFEST = FIXTURES / "corpus.manifest"
 
@@ -185,9 +184,6 @@ def test_equal_node_refs_are_one_object(generated):
     for ann in all_annotations(fixture) + all_annotations(corpus):
         tree = ann.tree
         refs = list(tree.node_refs())
-        for node_id in (0, *tree.nt_ids):
-            assert [(c.kind, c.num) for c in tree.children_of(node_id)] == brute_children(tree, node_id)
-            refs.extend(tree.children_of(node_id))
         for binding in ann.bindings:
             refs.extend(binding.included | binding.excluded)
         for ref in refs:
@@ -262,19 +258,6 @@ def test_a_tree_has_no_instance_dict_and_no_child_index(generated):
     for corpus in loaded_corpora(generated):
         for ann in all_annotations(corpus):
             assert not hasattr(ann.tree, "__dict__")
-
-
-def test_children_of_matches_the_oracle_on_random_trees():
-    checked = 0
-    for seed in range(12):
-        corpus = random_corpus(random.Random(seed), max_sents=6)
-        for ann in all_annotations(corpus):
-            tree = ann.tree
-            for node_id in (0, *tree.nt_ids, *range(1, len(tree.tokens) + 1), 499):
-                children = [(c.kind, c.num) for c in tree.children_of(node_id)]
-                assert children == brute_children(tree, node_id), (tree, node_id)
-                checked += len(children)
-    assert checked > 500
 
 
 def test_equal_elem_refs_are_one_object(generated):

@@ -12,12 +12,14 @@ from fusetb.model import (
     Binding,
     ElemRef,
     MonolingualAnnotation,
+    NodeRef,
     PairSet,
     ParallelCorpus,
     Predicate,
     SentencePairAlignment,
     SentenceTree,
     TagRegistry,
+    is_ancestor,
 )
 from fusetb.validate import (
     check_group_roles,
@@ -47,8 +49,6 @@ def annotation(preds=(), args=(), binds=(), sid="s1"):
 
 
 def ref(text):
-    from fusetb.model import NodeRef
-
     return NodeRef.parse(text)
 
 
@@ -373,3 +373,176 @@ def test_validate_corpus_resolves_each_binding_once(fixture_corpus, monkeypatch)
         assert error_codes(diags) == []
         bindings = sum(len(ann.bindings) for anns in corpus.treebanks.values() for ann in anns)
         assert bindings > 10 and len(calls) == bindings
+
+
+# Seeded faults. Each planter takes a valid annotation (or a corpus and one of its
+# pairs) and an rng, and returns (mutated, code, fragment), or None when the input has
+# no place for the fault; fragment is message text naming the planted element or node.
+
+
+def _rebind(ann, i, **changes):
+    """ann with the given fields of its i-th binding changed."""
+    moved = dataclasses.replace(ann.bindings[i], **changes)
+    return dataclasses.replace(ann, bindings=(*ann.bindings[:i], moved, *ann.bindings[i + 1 :]))
+
+
+def _realign(pair, i, **changes):
+    """pair with the given fields of its i-th alignment changed."""
+    moved = dataclasses.replace(pair.alignments[i], **changes)
+    return dataclasses.replace(pair, alignments=(*pair.alignments[:i], moved, *pair.alignments[i + 1 :]))
+
+
+def _drop_binding(ann, rng):
+    if ann.bindings:
+        i = rng.randrange(len(ann.bindings))
+        mutated = dataclasses.replace(ann, bindings=ann.bindings[:i] + ann.bindings[i + 1 :])
+        return mutated, "E-BIND-MISSING", f"element {ann.bindings[i].target} has 0 bindings"
+
+
+def _double_binding(ann, rng):
+    if ann.bindings:
+        extra = rng.choice(ann.bindings)
+        mutated = dataclasses.replace(ann, bindings=(*ann.bindings, extra))
+        return mutated, "E-BIND-MISSING", f"element {extra.target} has 2 bindings"
+
+
+def _retarget_outside_tree(ann, rng):
+    if ann.bindings:
+        i = rng.randrange(len(ann.bindings))
+        binding = ann.bindings[i]
+        tree = ann.tree
+        outside = rng.choice(
+            (NodeRef.terminal(len(tree.tokens) + 1), NodeRef.nonterminal(max(tree.nt_ids, default=500) + 1))
+        )
+        gone = rng.choice(sorted(binding.included, key=lambda r: r.sort_key))
+        mutated = _rebind(ann, i, included=binding.included - {gone} | {outside})
+        return mutated, "E-BIND-DANGLE", f"binding of {binding.target}: node {outside} not in tree"
+
+
+def _exclude_a_non_descendant(ann, rng):
+    tree = ann.tree
+    places = [
+        (i, ref)
+        for i, binding in enumerate(ann.bindings)
+        for ref in tree.node_refs()
+        if not any(is_ancestor(tree, inc, ref) for inc in binding.included)
+    ]
+    if places:
+        i, ref = rng.choice(places)
+        binding = ann.bindings[i]
+        mutated = _rebind(ann, i, excluded=binding.excluded | {ref})
+        return mutated, "E-EXCL-NOT-DESC", f"binding of {binding.target}: excluded node {ref} is not"
+
+
+def _nest_included(ann, rng):
+    tree = ann.tree
+    places = [
+        (i, inc, ref)
+        for i, binding in enumerate(ann.bindings)
+        for inc in sorted(binding.included, key=lambda r: r.sort_key)
+        for ref in tree.node_refs()
+        if is_ancestor(tree, inc, ref)
+    ]
+    if places:
+        i, inc, ref = rng.choice(places)
+        binding = ann.bindings[i]
+        mutated = _rebind(ann, i, included=binding.included | {ref})
+        first, second = sorted((inc, ref), key=lambda r: r.sort_key)
+        fragment = f"binding of {binding.target}: included nodes {first} and {second} are nested"
+        return mutated, "E-INCL-NESTED", fragment
+
+
+def _tag_an_argument_binding(ann, rng):
+    places = [i for i, binding in enumerate(ann.bindings) if not binding.target.is_predicate]
+    if places:
+        i = rng.choice(places)
+        mutated = _rebind(ann, i, tags=frozenset({"pv"}))
+        return mutated, "E-TAG-ON-ARG", f"binding of {ann.bindings[i].target}: binding tags ['pv']"
+
+
+def _duplicate_alignment(corpus, pair, rng):
+    if pair.alignments:
+        a = rng.choice(pair.alignments)
+        mutated = dataclasses.replace(pair, alignments=(*pair.alignments, a))
+        return mutated, "E-ALIGN-DUP", f"element {a.left} of {pair.left_sentence} appears in 2 alignments"
+
+
+def _orphan_argument_alignment(corpus, pair, rng):
+    args = [a for a in pair.alignments if a.kind == "arg"]
+    if args:
+        a = rng.choice(args)
+        owners = (a.left.pred_id, a.right.pred_id)
+        kept = tuple(
+            b for b in pair.alignments if b.kind == "arg" or (b.left.pred_id, b.right.pred_id) != owners
+        )
+        mutated = dataclasses.replace(pair, alignments=kept)
+        fragment = f"{a.left} ~ {a.right}: owner predicates {owners[0]} and {owners[1]}"
+        return mutated, "E-ALIGN-ORPHAN-ARG", fragment
+
+
+def _flip_alignment_kind(corpus, pair, rng):
+    if pair.alignments:
+        i = rng.randrange(len(pair.alignments))
+        a = pair.alignments[i]
+        mutated = _realign(pair, i, kind="arg" if a.kind == "pred" else "pred")
+        return mutated, "E-ALIGN-KIND", f"{a.left} ~ {a.right}: endpoint shape does not match"
+
+
+def _unregistered_alignment_tag(corpus, pair, rng):
+    if pair.alignments:
+        i = rng.randrange(len(pair.alignments))
+        a = pair.alignments[i]
+        return _realign(pair, i, tag="bogus"), "E-ALIGN-TAG", f"{a.left} ~ {a.right}: unregistered tag 'bogus'"
+
+
+def _unknown_sentence(corpus, pair, rng):
+    side = rng.choice(("left_sentence", "right_sentence"))
+    key = getattr(pair, side) + "0"
+    while corpus.has_sentence(key):
+        key += "0"
+    mutated = dataclasses.replace(pair, **{side: key})
+    return mutated, "E-ALIGN-DANGLE", f"unknown sentence {key}"
+
+
+ANNOTATION_FAULTS = (
+    _drop_binding,
+    _double_binding,
+    _retarget_outside_tree,
+    _exclude_a_non_descendant,
+    _nest_included,
+    _tag_an_argument_binding,
+)
+PAIR_FAULTS = (
+    _duplicate_alignment,
+    _orphan_argument_alignment,
+    _flip_alignment_kind,
+    _unregistered_alignment_tag,
+    _unknown_sentence,
+)
+
+
+def test_seeded_faults_are_reported_and_named():
+    planted = {plant.__name__: 0 for plant in ANNOTATION_FAULTS + PAIR_FAULTS}
+    for seed in range(40):
+        rng = random.Random(seed)
+        corpus = random_corpus(rng, max_sents=6)
+        assert validate_corpus(corpus)[1] == []
+        cases = []
+        for anns in corpus.treebanks.values():
+            for ann in anns:
+                assert validate_monolingual(ann) == []
+                cases += [(plant, plant(ann, rng)) for plant in ANNOTATION_FAULTS]
+        for pair in corpus.pair_sets[0].pairs:
+            assert validate_pair(corpus, pair) == []
+            cases += [(plant, plant(corpus, pair, rng)) for plant in PAIR_FAULTS]
+        for plant, fault in cases:
+            if fault is None:
+                continue
+            mutated, code, fragment = fault
+            if plant in PAIR_FAULTS:
+                diags = validate_pair(corpus, mutated)
+            else:
+                diags = validate_monolingual(mutated)
+            assert any(d.code == code and fragment in d.message for d in diags), (seed, plant.__name__, diags)
+            planted[plant.__name__] += 1
+    assert min(planted.values()) >= 10, planted
