@@ -251,8 +251,9 @@ def _load_corpus(
                     )
                 )
         annotations = []
+        empty = PredArg()  # the default of a tree with no annotations, built once
         for tree in trees:
-            pa = predarg.get(tree.sentence_id, PredArg())
+            pa = predarg.get(tree.sentence_id, empty)
             annotations.append(
                 MonolingualAnnotation(tree, pa.predicates, pa.arguments, pa.bindings)
             )

@@ -85,14 +85,6 @@ class NodeRef:
             raise ValueError(f"malformed node reference {text!r} (expected t<k> or n<id>)")
         return _shared_node_ref(m.group(1), int(m.group(2)))
 
-    @classmethod
-    def terminal(cls, index: int) -> "NodeRef":
-        return _shared_node_ref("t", index)
-
-    @classmethod
-    def nonterminal(cls, node_id: int) -> "NodeRef":
-        return _shared_node_ref("n", node_id)
-
     @property
     def sort_key(self) -> tuple[int, int]:
         # terminals before nonterminals, each ascending
@@ -122,10 +114,6 @@ class ElemRef:
     def of(cls, pred_id: str, role: str | None = None) -> "ElemRef":
         """The shared ElemRef of a predicate, or of its argument with the given role."""
         return _shared_elem_ref(pred_id, role)
-
-    @property
-    def is_predicate(self) -> bool:
-        return self.role is None
 
     @property
     def sort_key(self) -> tuple[str, str]:
@@ -170,12 +158,16 @@ class SentenceTree:
             return self.parents[len(self.tokens) + self.nt_ids.index(ref.num)]
         raise ResolutionError(f"sentence {self.sentence_id}: unknown node {ref}")
 
-    def node_refs(self):
-        """Every node in column order: terminals, then nonterminals."""
-        for index in range(1, len(self.tokens) + 1):
-            yield NodeRef.terminal(index)
-        for node_id in self.nt_ids:
-            yield NodeRef.nonterminal(node_id)
+
+def _below(tree: SentenceTree, node_id: int) -> set[int]:
+    """node_id and every nonterminal whose chain of parents reaches it, one level more per pass."""
+    nt_parents = tuple(zip(tree.nt_ids, tree.parents[len(tree.tokens) :]))
+    below = {node_id}
+    size = 0
+    while size != len(below):
+        size = len(below)
+        below.update([nt_id for nt_id, parent in nt_parents if parent in below])
+    return below
 
 
 def node_yield(tree: SentenceTree, ref: NodeRef) -> list[int]:
@@ -187,30 +179,13 @@ def node_yield(tree: SentenceTree, ref: NodeRef) -> list[int]:
     tree.parent_of(ref)  # a node not in the tree raises ResolutionError
     if ref.kind == "t":
         return [ref.num]
-    n = len(tree.tokens)
-    nt_parents = tuple(zip(tree.nt_ids, tree.parents[n:]))
-    below = {ref.num}  # ref and the nonterminals under it, one level more per pass
-    size = 0
-    while size != len(below):
-        size = len(below)
-        below.update([node_id for node_id, parent in nt_parents if parent in below])
-    return [index for index, parent in enumerate(tree.parents[:n], 1) if parent in below]
+    below = _below(tree, ref.num)
+    return [index for index, parent in enumerate(tree.parents[: len(tree.tokens)], 1) if parent in below]
 
 
 def is_ancestor(tree: SentenceTree, ancestor: NodeRef, descendant: NodeRef) -> bool:
-    """True if ancestor properly dominates descendant via parent links."""
-    if ancestor.kind == "t":
-        return False
-    parent = tree.parent_of(descendant)
-    seen = set()
-    while parent != VIRTUAL_ROOT and parent not in seen:
-        if parent == ancestor.num:
-            return True
-        seen.add(parent)
-        if parent not in tree.nt_ids:
-            return False
-        parent = tree.parent_of(NodeRef.nonterminal(parent))
-    return False
+    """True if ancestor properly dominates descendant: descendant's parent is in ancestor's closure."""
+    return ancestor.kind == "n" and tree.parent_of(descendant) in _below(tree, ancestor.num)
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,7 +289,7 @@ class MonolingualAnnotation:
         return self._preds.get(pred_id)
 
     def has_element(self, ref: ElemRef) -> bool:
-        if ref.is_predicate:
+        if ref.role is None:
             return ref.pred_id in self._preds
         return (ref.pred_id, ref.role) in self._args
 
@@ -327,17 +302,6 @@ class MonolingualAnnotation:
             else:
                 n_args += (ref.pred_id, ref.role) in self._args
         return n_preds, n_args
-
-    def element(self, ref: ElemRef) -> Predicate | Argument:
-        if ref.is_predicate:
-            pred = self._preds.get(ref.pred_id)
-            if pred is not None:
-                return pred
-        else:
-            arg = self._args.get((ref.pred_id, ref.role))
-            if arg is not None:
-                return arg
-        raise ResolutionError(f"sentence {self.sentence_id}: unknown element {ref}")
 
     def element_refs(self) -> tuple[ElemRef, ...]:
         """Every declared element: predicates first, then arguments, each sorted."""

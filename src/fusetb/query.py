@@ -195,10 +195,10 @@ def _run_preds(corpus, filters):
         for a in pair.alignments:
             if a.kind != "pred" or keep_alignment and not keep_alignment(a.tag):
                 continue
-            left = left_ann.element(a.left)
+            left = left_ann.predicate(a.left.pred_id)
             if keep_left and not keep_left(left.syn_class, left.lemma, left.group):
                 continue
-            right = right_ann.element(a.right)
+            right = right_ann.predicate(a.right.pred_id)
             if keep_right and not keep_right(right.syn_class):
                 continue
             left_tags = left_ann.binding_for(a.left).tags
@@ -232,8 +232,8 @@ def _run_aligns(corpus, filters):
                 continue
             if a.kind == "pred":
                 anns = anns or (corpus.sentence(pair.left_sentence), corpus.sentence(pair.right_sentence))
-                left_label = anns[0].element(a.left).lemma
-                right_label = anns[1].element(a.right).lemma
+                left_label = anns[0].predicate(a.left.pred_id).lemma
+                right_label = anns[1].predicate(a.right.pred_id).lemma
             else:
                 left_label = a.left.role
                 right_label = a.right.role

@@ -12,6 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .formats import WARNING, Diagnostic
 from .model import (
+    Alignment,
     ElemRef,
     EmptyYieldError,
     MonolingualAnnotation,
@@ -80,51 +81,51 @@ def validate_monolingual(
     diags: list[Diagnostic] = []
     sid, tree = annotation.sentence_id, annotation.tree
 
-    def error(code: str, message: str) -> None:
-        diags.append(Diagnostic.error(code, file, f"sentence {sid}{message}"))
+    def error(code: str, message: str, target: ElemRef | None = None) -> None:
+        where = sid if target is None else f"{sid}, binding of {target}"
+        diags.append(Diagnostic.error(code, file, f"sentence {where}: {message}"))
 
     for ref in annotation.element_refs():
         n = len(annotation.bindings_for(ref))
         if n != 1:
-            error("E-BIND-MISSING", f": element {ref} has {n} bindings, expected exactly one")
+            error("E-BIND-MISSING", f"element {ref} has {n} bindings, expected exactly one")
     # only an element with exactly one binding has a yield; a binding with a dangling node has none
     yields: dict[ElemRef, list[int] | None] = {}
     for binding in annotation.bindings:
         target, included, excluded = binding.target, binding.included, binding.excluded
-        at = f", binding of {target}:"
         if not annotation.has_element(target):
-            error("E-BIND-DANGLE", f"{at} target is not a declared element")
-        if binding.tags and not target.is_predicate:
-            error("E-TAG-ON-ARG", f"{at} binding tags {sorted(binding.tags)} are only legal on predicates")
+            error("E-BIND-DANGLE", "target is not a declared element", target)
+        if binding.tags and target.role is not None:
+            error("E-TAG-ON-ARG", f"binding tags {sorted(binding.tags)} are only legal on predicates", target)
         dangling = [ref for ref in included | excluded if not tree.has_node(ref)]
         for ref in dangling:
-            error("E-BIND-DANGLE", f"{at} node {ref} not in tree")
+            error("E-BIND-DANGLE", f"node {ref} not in tree", target)
         found = None
         if not dangling:
             # sorted, so that E-INCL-NESTED names the nodes of a pair in one order
             for ref_a, ref_b in combinations(sorted(included, key=lambda r: r.sort_key), 2):
                 if is_ancestor(tree, ref_a, ref_b) or is_ancestor(tree, ref_b, ref_a):
-                    error("E-INCL-NESTED", f"{at} included nodes {ref_a} and {ref_b} are nested")
+                    error("E-INCL-NESTED", f"included nodes {ref_a} and {ref_b} are nested", target)
             for ref in excluded:
                 if not any(is_ancestor(tree, inc, ref) for inc in included):
                     error("E-EXCL-NOT-DESC",
-                          f"{at} excluded node {ref} is not a proper descendant of an included node")
+                          f"excluded node {ref} is not a proper descendant of an included node", target)
             try:
                 found = resolve_yield(tree, binding)
             except EmptyYieldError:
-                error("E-YIELD-EMPTY", f"{at} empty binding yield")
+                error("E-YIELD-EMPTY", "empty binding yield", target)
         yields[target] = None if target in yields else found
     # recursion-freedom: an argument's yield may not overlap its predicate's
     for arg in annotation.arguments:
         if annotation.predicate(arg.pred_id) is None:
-            error("E-BIND-DANGLE", f": argument {arg.pred_id}.{arg.role} owned by unknown predicate")
+            error("E-BIND-DANGLE", f"argument {arg.pred_id}.{arg.role} owned by unknown predicate")
             continue
         arg_yield = yields.get(ElemRef.of(arg.pred_id, arg.role))
         pred_yield = yields.get(ElemRef.of(arg.pred_id))
         if arg_yield and pred_yield:
             overlap = sorted(set(arg_yield) & set(pred_yield))
             if overlap:
-                error("E-RECURSION", f": argument {arg.pred_id}.{arg.role} yield overlaps its"
+                error("E-RECURSION", f"argument {arg.pred_id}.{arg.role} yield overlaps its"
                                      f" predicate's yield at tokens {overlap}")
     return _sorted_unique(diags)
 
@@ -136,8 +137,9 @@ def validate_pair(
     diags: list[Diagnostic] = []
     keys = (pair.left_sentence, pair.right_sentence)
 
-    def error(code: str, message: str) -> None:
-        diags.append(Diagnostic.error(code, file, f"pair {keys[0]} {keys[1]}: {message}"))
+    def error(code: str, message: str, a: Alignment | None = None) -> None:
+        link = "" if a is None else f"{a.left} ~ {a.right}: "
+        diags.append(Diagnostic.error(code, file, f"pair {keys[0]} {keys[1]}: {link}{message}"))
 
     for key in keys:
         if not corpus.has_sentence(key):
@@ -148,22 +150,21 @@ def validate_pair(
     pred_links = {(a.left.pred_id, a.right.pred_id) for a in pair.alignments if a.kind == "pred"}
     endpoints = []
     for a in pair.alignments:
-        link = f"{a.left} ~ {a.right}"
         want_role = a.kind == "arg"
         if (a.left.role is not None) != want_role or (a.right.role is not None) != want_role:
             # a malformed record is reported once; its endpoints are not
             # fed into the duplicate/orphan bookkeeping
-            error("E-ALIGN-KIND", f"{link}: endpoint shape does not match {a.kind}-{a.kind} alignment")
+            error("E-ALIGN-KIND", f"endpoint shape does not match {a.kind}-{a.kind} alignment", a)
             continue
         for key, ann, ref in zip(keys, anns, (a.left, a.right)):
             if not ann.has_element(ref):
-                error("E-ALIGN-DANGLE", f"{link}: {key} has no element {ref}")
+                error("E-ALIGN-DANGLE", f"{key} has no element {ref}", a)
             endpoints.append((key, ref))
         if a.tag is not None and a.tag not in corpus.tag_registry.alignment_tags:
-            error("E-ALIGN-TAG", f"{link}: unregistered tag {a.tag!r}")
+            error("E-ALIGN-TAG", f"unregistered tag {a.tag!r}", a)
         if want_role and (a.left.pred_id, a.right.pred_id) not in pred_links:
-            error("E-ALIGN-ORPHAN-ARG", f"{link}: owner predicates {a.left.pred_id} and"
-                                        f" {a.right.pred_id} are not aligned in this pair")
+            error("E-ALIGN-ORPHAN-ARG", f"owner predicates {a.left.pred_id} and"
+                                        f" {a.right.pred_id} are not aligned in this pair", a)
     for (key, ref), count in Counter(endpoints).items():
         if count > 1:
             error("E-ALIGN-DUP", f"element {ref} of {key} appears in {count} alignments")

@@ -9,6 +9,7 @@ construction, with retries.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from fusetb.corpus import AlignEntry, LanguageEntry, Manifest, serialize_manifest
@@ -86,10 +87,29 @@ def random_tree(rng: random.Random, sid: str, max_tokens: int = 8, max_nts: int 
     return SentenceTree(sid, tuple(forms), tuple(labels), tuple(edges), tuple(parents), nt_ids)
 
 
+def node_refs(tree: SentenceTree) -> list[NodeRef]:
+    """Every node of tree in column order: terminals, then nonterminals."""
+    terminals = [NodeRef.parse(f"t{index}") for index in range(1, len(tree.tokens) + 1)]
+    return terminals + [NodeRef.parse(f"n{node_id}") for node_id in tree.nt_ids]
+
+
+def plant_tree_fault(rng: random.Random, tree: SentenceTree) -> SentenceTree:
+    """tree with one nonterminal's parent pointed at a nonterminal, at itself or at an
+    unknown id, and sometimes a terminal's parent pointed at an unknown id; tree must
+    have a nonterminal."""
+    n = len(tree.tokens)
+    parents = list(tree.parents)
+    at = rng.randrange(len(tree.nt_ids))
+    parents[n + at] = rng.choice((rng.choice(tree.nt_ids), tree.nt_ids[at], 9999))
+    if rng.random() < 0.3:
+        parents[rng.randrange(n)] = 9999
+    return dataclasses.replace(tree, parents=tuple(parents))
+
+
 def random_binding(
     rng: random.Random, tree: SentenceTree, target: ElemRef, forbid: frozenset[int] = frozenset()
 ) -> Binding | None:
-    refs = list(tree.node_refs())
+    refs = node_refs(tree)
     for _ in range(20):
         rng.shuffle(refs)
         want = 1 if rng.random() < 0.7 else 2
@@ -105,7 +125,7 @@ def random_binding(
         excluded = []
         for inc in included:
             if inc.kind == "n" and rng.random() < 0.4:
-                descendants = [r for r in tree.node_refs() if is_ancestor(tree, inc, r)]
+                descendants = [r for r in node_refs(tree) if is_ancestor(tree, inc, r)]
                 if descendants:
                     excluded.append(rng.choice(descendants))
         binding = Binding(target, frozenset(included), frozenset(excluded))
@@ -119,7 +139,7 @@ def random_binding(
     free = [i for i in range(1, len(tree.tokens) + 1) if i not in forbid]
     if not free:
         return None
-    return Binding(target, frozenset({NodeRef.terminal(rng.choice(free))}))
+    return Binding(target, frozenset({NodeRef.parse(f"t{rng.choice(free)}")}))
 
 
 def random_annotation(

@@ -1,9 +1,9 @@
 """Independent brute-force reference implementations used as test oracles.
 
 These deliberately avoid the library's own yield/filter machinery: yields
-are computed by scanning every terminal and walking raw parent links, and
-queries/stats/suggestions by exhaustive re-scans applying the documented
-semantics directly.
+and dominance are computed by walking raw parent links, and
+validation/queries/stats/suggestions by exhaustive re-scans applying the
+documented semantics directly.
 """
 
 from __future__ import annotations
@@ -33,6 +33,29 @@ def brute_yield(tree: SentenceTree, ref) -> list[int]:
     return sorted(out)
 
 
+def brute_dominates(tree: SentenceTree, ancestor, descendant) -> bool:
+    """True if ancestor is on descendant's chain of parents, read from the raw columns.
+
+    The walk starts at descendant's parent and stops at the virtual root, at an id
+    that is no nonterminal of the tree, or at an id it has already seen (a cycle).
+    """
+    n = len(tree.tokens)
+    nt_parent = dict(zip(tree.nt_ids, tree.parents[n:]))
+    if descendant.kind == "t":
+        parent = tree.parents[descendant.num - 1]
+    else:
+        parent = nt_parent[descendant.num]
+    seen = set()
+    while ancestor.kind == "n" and parent != 0 and parent not in seen:
+        if parent == ancestor.num:
+            return True
+        seen.add(parent)
+        if parent not in nt_parent:
+            return False
+        parent = nt_parent[parent]
+    return False
+
+
 def brute_resolve(tree: SentenceTree, binding: Binding) -> list[int]:
     included: set[int] = set()
     for ref in binding.included:
@@ -41,6 +64,138 @@ def brute_resolve(tree: SentenceTree, binding: Binding) -> list[int]:
     for ref in binding.excluded:
         excluded.update(brute_yield(tree, ref))
     return sorted(included - excluded)
+
+
+def _name(pred_id: str, role: str | None) -> str:
+    return pred_id if role is None else f"{pred_id}.{role}"
+
+
+def _sentence_faults(ann):
+    """(code, subject) of each single-sentence fault of ann, from its raw records."""
+    tree = ann.tree
+    preds = {p.pred_id for p in ann.predicates}
+    args = {(a.pred_id, a.role) for a in ann.arguments}
+    targets = [(b.target.pred_id, b.target.role) for b in ann.bindings]
+    for key in {(pred_id, None) for pred_id in preds} | args:
+        if targets.count(key) != 1:
+            yield "E-BIND-MISSING", (_name(*key), str(targets.count(key)))
+    yields: dict[tuple, list] = {}
+    for b in ann.bindings:
+        key = (b.target.pred_id, b.target.role)
+        target = _name(*key)
+        if key not in args and (key[1] is not None or key[0] not in preds):
+            yield "E-BIND-DANGLE", (target, None, None)
+        if b.tags and key[1] is not None:
+            yield "E-TAG-ON-ARG", (target, str(sorted(b.tags)))
+        dangling = [
+            ref for ref in b.included | b.excluded
+            if not (1 <= ref.num <= len(tree.tokens) if ref.kind == "t" else ref.num in tree.nt_ids)
+        ]
+        for ref in dangling:
+            yield "E-BIND-DANGLE", (target, str(ref), None)
+        covered = None
+        if not dangling:
+            included = sorted(b.included, key=lambda r: (r.kind != "t", r.num))
+            for i, ref_a in enumerate(included):
+                for ref_b in included[i + 1 :]:
+                    if brute_dominates(tree, ref_a, ref_b) or brute_dominates(tree, ref_b, ref_a):
+                        yield "E-INCL-NESTED", (target, str(ref_a), str(ref_b))
+            for ref in b.excluded:
+                if not any(brute_dominates(tree, inc, ref) for inc in b.included):
+                    yield "E-EXCL-NOT-DESC", (target, str(ref))
+            covered = brute_resolve(tree, b)
+            if not covered:
+                yield "E-YIELD-EMPTY", (target,)
+        yields.setdefault(key, []).append(covered)
+    # an element's yield counts only when it has exactly one binding
+    sole = {key: found[0] for key, found in yields.items() if len(found) == 1 and found[0]}
+    for a in ann.arguments:
+        if a.pred_id not in preds:
+            yield "E-BIND-DANGLE", (None, None, _name(a.pred_id, a.role))
+            continue
+        overlap = sorted(set(sole.get((a.pred_id, a.role), ())) & set(sole.get((a.pred_id, None), ())))
+        if overlap:
+            yield "E-RECURSION", (_name(a.pred_id, a.role), str(overlap))
+
+
+def _pair_faults(declared: dict[str, set], alignment_tags, pair):
+    """(code, subject) of each fault of one sentence pair, from the raw records.
+
+    declared maps each sentence key to the (pred_id, role) of every element declared in it.
+    """
+    keys = (pair.left_sentence, pair.right_sentence)
+    unknown = [key for key in keys if key not in declared]
+    for key in unknown:
+        yield "E-ALIGN-DANGLE", (key, None, None, None)
+    if unknown:
+        return
+    pred_links = {(a.left.pred_id, a.right.pred_id) for a in pair.alignments if a.kind == "pred"}
+    endpoints = []
+    for a in pair.alignments:
+        link = f"{_name(a.left.pred_id, a.left.role)} ~ {_name(a.right.pred_id, a.right.role)}"
+        if (a.left.role is None, a.right.role is None) != (a.kind == "pred",) * 2:
+            yield "E-ALIGN-KIND", (link, a.kind)
+            continue
+        for key, ref in zip(keys, (a.left, a.right)):
+            if (ref.pred_id, ref.role) not in declared[key]:
+                yield "E-ALIGN-DANGLE", (None, link, key, _name(ref.pred_id, ref.role))
+            endpoints.append((_name(ref.pred_id, ref.role), key))
+        if a.tag is not None and a.tag not in alignment_tags:
+            yield "E-ALIGN-TAG", (link, repr(a.tag))
+        if a.kind == "arg" and (a.left.pred_id, a.right.pred_id) not in pred_links:
+            yield "E-ALIGN-ORPHAN-ARG", (link, a.left.pred_id, a.right.pred_id)
+    for endpoint in set(endpoints):
+        if endpoints.count(endpoint) > 1:
+            yield "E-ALIGN-DUP", (*endpoint, str(endpoints.count(endpoint)))
+
+
+def _edit_distance(a: str, b: str) -> int:
+    row = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        prev, row[0] = row[0], i
+        for j, y in enumerate(b, 1):
+            prev, row[j] = row[j], min(row[j] + 1, row[j - 1] + 1, prev + (x != y))
+    return row[-1]
+
+
+def oracle_diagnostics(corpus: ParallelCorpus) -> set[tuple]:
+    """(code, file, scope, subject) of every diagnostic validate_corpus reports with its
+    default file labels, derived from the raw records.
+
+    scope is the sentence id, the pair's two sentence keys or the predicate group; subject
+    holds the elements, nodes, counts and tags the message names, None where it names none.
+    """
+    expected = set()
+    for lang, anns in corpus.treebanks.items():
+        roles: dict[str, set[str]] = {}
+        for ann in anns:
+            expected.update(
+                (code, f"<{lang}>", ann.sentence_id, subject) for code, subject in _sentence_faults(ann)
+            )
+            group_of = {p.pred_id: p.group for p in ann.predicates}
+            for a in ann.arguments:
+                if a.pred_id in group_of:
+                    roles.setdefault(group_of[a.pred_id], set()).add(a.role)
+        for group, names in roles.items():
+            for a in names:
+                for b in names:
+                    if a < b and min(len(a), len(b)) >= 4 and (
+                        a.casefold() == b.casefold() or _edit_distance(a, b) <= 1
+                    ):
+                        expected.add(("W-ROLE-NEAR-DUP", f"<{lang}>", group, (a, b)))
+    declared = {
+        f"{lang}:{ann.sentence_id}": {(p.pred_id, None) for p in ann.predicates}
+        | {(a.pred_id, a.role) for a in ann.arguments}
+        for lang, anns in corpus.treebanks.items()
+        for ann in anns
+    }
+    tags = corpus.tag_registry.alignment_tags
+    for pair_set in corpus.pair_sets:
+        file = f"<{pair_set.left_lang}-{pair_set.right_lang}>"
+        for pair in pair_set.pairs:
+            scope = f"{pair.left_sentence} {pair.right_sentence}"
+            expected.update((code, file, scope, subject) for code, subject in _pair_faults(declared, tags, pair))
+    return expected
 
 
 def _apply(filters, hit_for_key) -> bool:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import builtins
+import importlib
+import inspect
+import pkgutil
 import re
 import shlex
 
 import pytest
 
+import fusetb
 from fusetb.cli import main
 
 from .conftest import REPO_ROOT
@@ -69,3 +74,50 @@ def test_readme_library_example_runs():
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
 
+
+
+# a backquoted lowercase identifier, or a dotted name such as `PairSet.aligned`
+_README_NAME_RE = re.compile(r"`([a-z_][a-z0-9_]*|[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+_MISSING = object()
+
+
+def _attribute(value, name):
+    """value.name, or the dataclass field of that name when it has no class attribute."""
+    fields = getattr(value, "__dataclass_fields__", {})
+    return getattr(value, name, fields.get(name, _MISSING))
+
+
+def _documented_names() -> dict[str, object]:
+    """fusetb, its attributes, its modules' attributes, their classes' attributes and the builtins."""
+    names = {**vars(builtins), "fusetb": fusetb}
+    modules = [importlib.import_module(f"fusetb.{m.name}") for m in pkgutil.iter_modules(fusetb.__path__)]
+    for module in (fusetb, *modules):
+        names.update({name: getattr(module, name) for name in dir(module)})
+    for cls in [value for value in names.values() if inspect.isclass(value)]:
+        if cls.__module__.startswith("fusetb"):
+            attrs = [*dir(cls), *getattr(cls, "__dataclass_fields__", {})]
+            names.update({name: _attribute(cls, name) for name in attrs})
+    return names
+
+
+def _unresolved_names(text: str) -> list[str]:
+    """Each backquoted name in text, dunders aside, that resolves to nothing in _documented_names."""
+    names = _documented_names()
+    missing = []
+    for name in _README_NAME_RE.findall(text):
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        head, *attrs = name.split(".")
+        value = names.get(head, _MISSING)
+        for attr in attrs:
+            value = _attribute(value, attr)
+        if value is _MISSING:
+            missing.append(name)
+    return missing
+
+
+def test_readme_library_names_resolve():
+    section = _README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert _unresolved_names(section) == []
+    removed = "`children_of`, `SentenceTree.children_of`, `node_refs` and `fusetb.model.is_ancestor`"
+    assert _unresolved_names(removed) == ["children_of", "SentenceTree.children_of", "node_refs"]

@@ -24,7 +24,7 @@ from fusetb.model import (
 from fusetb.validate import validate_monolingual
 
 from .conftest import FIXTURES
-from .generators import random_corpus, write_corpus_files
+from .generators import node_refs, random_corpus, write_corpus_files
 
 FIXTURE_MANIFEST = FIXTURES / "corpus.manifest"
 
@@ -183,7 +183,7 @@ def test_equal_node_refs_are_one_object(generated):
     checked = 0
     for ann in all_annotations(fixture) + all_annotations(corpus):
         tree = ann.tree
-        refs = list(tree.node_refs())
+        refs = node_refs(tree)
         for binding in ann.bindings:
             refs.extend(binding.included | binding.excluded)
         for ref in refs:
@@ -322,7 +322,7 @@ def test_a_lone_binding_is_stored_bare(generated):
 def test_every_duplicate_binding_is_kept(copies):
     tree = SentenceTree("s1", ("a", "b"), ("NN", "NN"), (None, None), (0, 0))
     target = ElemRef.of("p1")
-    binds = tuple(Binding(target, frozenset({NodeRef.terminal(1 + i % 2)})) for i in range(copies))
+    binds = tuple(Binding(target, frozenset({NodeRef.parse(f"t{1 + i % 2}")})) for i in range(copies))
     ann = MonolingualAnnotation(tree, (Predicate("p1", "GEBEN", "v", "GEBEN"),), (), binds)
     assert ann.bindings_for(target) == binds
     assert ann.binding_for(target) == binds[0]

@@ -18,12 +18,14 @@ from fusetb.model import (
     ResolutionError,
     SentencePairAlignment,
     SentenceTree,
+    is_ancestor,
     node_yield,
     resolve_yield,
 )
+from fusetb.validate import validate_monolingual
 
-from .generators import random_binding, random_tree
-from .oracles import brute_resolve, brute_yield
+from .generators import node_refs, plant_tree_fault, random_annotation, random_binding, random_tree
+from .oracles import brute_dominates, brute_resolve, brute_yield
 
 
 def make_tree(n_tokens, nts):
@@ -69,8 +71,28 @@ def test_node_yield_matches_brute_force_on_random_trees():
     rng = random.Random(101)
     for _ in range(300):
         tree = random_tree(rng, "s1")
-        for ref in tree.node_refs():
+        for ref in node_refs(tree):
             assert node_yield(tree, ref) == brute_yield(tree, ref)
+
+
+def test_dominance_on_trees_with_a_cycle_or_an_unknown_parent():
+    rng = random.Random(606)
+    trees = pairs = 0
+    while trees < 2000:
+        tree = random_tree(rng, "s1")
+        if not tree.nt_ids:
+            continue
+        ann = random_annotation(rng, tree)
+        faulty = plant_tree_fault(rng, tree)
+        refs = node_refs(faulty)
+        for a in refs:
+            assert node_yield(faulty, a) == brute_yield(faulty, a)
+            for d in refs:
+                assert is_ancestor(faulty, a, d) == brute_dominates(faulty, a, d), (faulty, a, d)
+        pairs += len(refs) ** 2
+        assert isinstance(validate_monolingual(dataclasses.replace(ann, tree=faulty)), list)
+        trees += 1
+    assert pairs > 100_000
 
 
 def test_resolve_yield_single_terminal(tree):
@@ -125,16 +147,6 @@ def test_element_of(tree):
             Binding(ElemRef("p1", "ENT_HARMONISED"), frozenset({NodeRef.parse("n500")})),
         ),
     )
-    pred = ann.element(ElemRef.parse("p1"))
-    assert isinstance(pred, Predicate)
-    assert (pred.lemma, pred.syn_class, pred.group) == ("HARMONISE", "v", "HARMONISE")
-    arg = ann.element(ElemRef.parse("p1.ENT_HARMONISED"))
-    assert isinstance(arg, Argument)
-    assert arg.role == "ENT_HARMONISED"
-    with pytest.raises(ResolutionError):
-        ann.element(ElemRef.parse("p9"))
-    with pytest.raises(ResolutionError):
-        ann.element(ElemRef.parse("p1.NOSUCH"))
     assert ann.predicate("p1") == Predicate("p1", "HARMONISE", "v", "HARMONISE")
     assert ann.predicate("p9") is None
 
@@ -219,8 +231,6 @@ def test_node_ref_parse_and_str():
 def test_elem_ref_parse_and_str():
     assert str(ElemRef.parse("p1")) == "p1"
     assert str(ElemRef.parse("p1.ENT_HARMONISED")) == "p1.ENT_HARMONISED"
-    assert ElemRef.parse("p1").is_predicate
-    assert not ElemRef.parse("p1.ROLE").is_predicate
     with pytest.raises(ValueError):
         ElemRef.parse("P1")
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -29,7 +30,8 @@ from fusetb.validate import (
     validate_pair,
 )
 
-from .generators import random_corpus
+from .generators import node_refs, plant_tree_fault, random_corpus
+from .oracles import oracle_diagnostics
 
 
 def small_tree(sid="s1"):
@@ -412,7 +414,7 @@ def _retarget_outside_tree(ann, rng):
         binding = ann.bindings[i]
         tree = ann.tree
         outside = rng.choice(
-            (NodeRef.terminal(len(tree.tokens) + 1), NodeRef.nonterminal(max(tree.nt_ids, default=500) + 1))
+            (NodeRef.parse(f"t{len(tree.tokens) + 1}"), NodeRef.parse(f"n{max(tree.nt_ids, default=500) + 1}"))
         )
         gone = rng.choice(sorted(binding.included, key=lambda r: r.sort_key))
         mutated = _rebind(ann, i, included=binding.included - {gone} | {outside})
@@ -424,7 +426,7 @@ def _exclude_a_non_descendant(ann, rng):
     places = [
         (i, ref)
         for i, binding in enumerate(ann.bindings)
-        for ref in tree.node_refs()
+        for ref in node_refs(tree)
         if not any(is_ancestor(tree, inc, ref) for inc in binding.included)
     ]
     if places:
@@ -440,7 +442,7 @@ def _nest_included(ann, rng):
         (i, inc, ref)
         for i, binding in enumerate(ann.bindings)
         for inc in sorted(binding.included, key=lambda r: r.sort_key)
-        for ref in tree.node_refs()
+        for ref in node_refs(tree)
         if is_ancestor(tree, inc, ref)
     ]
     if places:
@@ -453,7 +455,7 @@ def _nest_included(ann, rng):
 
 
 def _tag_an_argument_binding(ann, rng):
-    places = [i for i, binding in enumerate(ann.bindings) if not binding.target.is_predicate]
+    places = [i for i, binding in enumerate(ann.bindings) if binding.target.role is not None]
     if places:
         i = rng.choice(places)
         mutated = _rebind(ann, i, tags=frozenset({"pv"}))
@@ -546,3 +548,107 @@ def test_seeded_faults_are_reported_and_named():
             assert any(d.code == code and fragment in d.message for d in diags), (seed, plant.__name__, diags)
             planted[plant.__name__] += 1
     assert min(planted.values()) >= 10, planted
+
+
+# Planters whose faults only the exact-set oracle test below needs: a role near-duplicate
+# is a treebank-wide warning, and the other two reach the remaining codes.
+
+
+def _bind_an_argument_over_its_predicate(ann, rng):
+    pred_bindings = {b.target.pred_id: b for b in ann.bindings if b.target.role is None}
+    places = [
+        i for i, b in enumerate(ann.bindings) if b.target.role is not None and b.target.pred_id in pred_bindings
+    ]
+    if places:
+        i = rng.choice(places)
+        pred = pred_bindings[ann.bindings[i].target.pred_id]
+        mutated = _rebind(ann, i, included=pred.included, excluded=pred.excluded)
+        return mutated, "E-RECURSION", f"argument {ann.bindings[i].target} yield overlaps"
+
+
+def _drop_an_owner_predicate(ann, rng):
+    owners = sorted({a.pred_id for a in ann.arguments})
+    if owners:
+        pred_id = rng.choice(owners)
+        mutated = dataclasses.replace(ann, predicates=tuple(p for p in ann.predicates if p.pred_id != pred_id))
+        return mutated, "E-BIND-DANGLE", f"argument {pred_id}."
+
+
+def _misspell_a_role(ann, rng):
+    args = [a for a in ann.arguments if len(a.role) > 4]
+    if args:
+        arg = rng.choice(args)
+        misspelt = Argument(arg.pred_id, arg.role[:-1])
+        copies = tuple(
+            dataclasses.replace(b, target=ElemRef.of(misspelt.pred_id, misspelt.role))
+            for b in ann.bindings if b.target == ElemRef.of(arg.pred_id, arg.role)
+        )
+        mutated = dataclasses.replace(
+            ann, arguments=(*ann.arguments, misspelt), bindings=(*ann.bindings, *copies)
+        )
+        return mutated, "W-ROLE-NEAR-DUP", f"roles {misspelt.role} and {arg.role}"
+
+
+# One pattern per code: group 1 is the scope (sentence id, pair keys or group), and the
+# others are what oracle_diagnostics calls the subject.
+_MESSAGE_RES = {code: re.compile(pattern) for code, pattern in {
+    "E-BIND-MISSING": r"sentence (\S+): element (\S+) has (\d+) bindings, expected exactly one",
+    "E-BIND-DANGLE": r"sentence (\S+)(?:, binding of (\S+): (?:target is not a declared element"
+                     r"|node (\S+) not in tree)|: argument (\S+) owned by unknown predicate)",
+    "E-TAG-ON-ARG": r"sentence (\S+), binding of (\S+): binding tags (\[.*\]) are only legal on predicates",
+    "E-INCL-NESTED": r"sentence (\S+), binding of (\S+): included nodes (\S+) and (\S+) are nested",
+    "E-EXCL-NOT-DESC": r"sentence (\S+), binding of (\S+): excluded node (\S+) is not a proper"
+                       r" descendant of an included node",
+    "E-YIELD-EMPTY": r"sentence (\S+), binding of (\S+): empty binding yield",
+    "E-RECURSION": r"sentence (\S+): argument (\S+) yield overlaps its predicate's yield at tokens (\[.*\])",
+    "E-ALIGN-DANGLE": r"pair (\S+ \S+): (?:unknown sentence (\S+)|(\S+ ~ \S+): (\S+) has no element (\S+))",
+    "E-ALIGN-KIND": r"pair (\S+ \S+): (\S+ ~ \S+): endpoint shape does not match (\w+)-\3 alignment",
+    "E-ALIGN-DUP": r"pair (\S+ \S+): element (\S+) of (\S+) appears in (\d+) alignments",
+    "E-ALIGN-ORPHAN-ARG": r"pair (\S+ \S+): (\S+ ~ \S+): owner predicates (\S+) and (\S+)"
+                          r" are not aligned in this pair",
+    "E-ALIGN-TAG": r"pair (\S+ \S+): (\S+ ~ \S+): unregistered tag (.+)",
+    "W-ROLE-NEAR-DUP": r"group (\S+): roles (\S+) and (\S+) look like near-duplicates",
+}.items()}
+
+
+def _chain_faults(rng, planters, value, *context):
+    """value with one to three planters applied in turn; a planter with no place is skipped."""
+    for plant in rng.sample(planters, rng.randint(1, 3)):
+        fault = plant(*context, value, rng)
+        if fault is not None:
+            value = fault[0]
+    return value
+
+
+def test_validation_reports_exactly_the_oracle_set():
+    reported = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        corpus = random_corpus(rng, max_sents=6)
+        treebanks = {}
+        for lang, anns in corpus.treebanks.items():
+            faulty = []
+            for ann in anns:
+                if ann.tree.nt_ids and rng.random() < 0.1:
+                    ann = dataclasses.replace(ann, tree=plant_tree_fault(rng, ann.tree))
+                if rng.random() < 0.6:
+                    planters = ANNOTATION_FAULTS + (_bind_an_argument_over_its_predicate,
+                                                    _drop_an_owner_predicate, _misspell_a_role)
+                    ann = _chain_faults(rng, planters, ann)
+                faulty.append(ann)
+            treebanks[lang] = tuple(faulty)
+        pair_set = corpus.pair_sets[0]
+        pairs = tuple(
+            _chain_faults(rng, PAIR_FAULTS, pair, corpus) if rng.random() < 0.6 else pair
+            for pair in pair_set.pairs
+        )
+        mutated = ParallelCorpus(treebanks, (dataclasses.replace(pair_set, pairs=pairs),), corpus.tag_registry)
+        got = []
+        for d in validate_corpus(mutated)[1]:
+            m = _MESSAGE_RES[d.code].fullmatch(d.message)
+            assert m, d.render()
+            got.append((d.code, d.file, m.group(1), m.groups()[1:]))
+        assert len(set(got)) == len(got), seed
+        assert set(got) == oracle_diagnostics(mutated), seed
+        reported.update(code for code, *_ in got)
+    assert reported == set(_MESSAGE_RES)
