@@ -26,6 +26,7 @@ from .model import (
     Binding,
     ElemRef,
     EmptyYieldError,
+    FieldError,
     MonolingualAnnotation,
     NodeRef,
     PairSet,

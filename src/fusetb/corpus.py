@@ -12,8 +12,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .formats import (
-    _LANG_RE,
-    _TAG_RE,
     Diagnostic,
     ParseError,
     PredArg,
@@ -27,12 +25,14 @@ from .model import (
     DEFAULT_ALIGNMENT_TAGS,
     DEFAULT_BINDING_TAGS,
     PRED_CLASSES,
+    FieldError,
     MonolingualAnnotation,
     PairSet,
     ParallelCorpus,
     ResolutionError,
     TagRegistry,
-    split_sentence_key,
+    _check_language,
+    _check_tag,
 )
 from .validate import _sorted_unique, validate_corpus
 
@@ -75,13 +75,12 @@ class Manifest:
     registry: TagRegistry = TagRegistry()
 
 
-def _parse_tag_list(value: str, file: str, lineno: int) -> frozenset[str]:
-    tags = []
-    for tag in value.split(","):
-        if not _TAG_RE.match(tag):
-            _err("E-MANIFEST-SYNTAX", file, lineno, f"malformed tag {tag!r}")
-        tags.append(tag)
-    return frozenset(tags)
+def _checked(check, values: list[str], file: str, lineno: int) -> list[str]:
+    """values, once each passes check, a model field rule; its FieldError is E-MANIFEST-SYNTAX at lineno."""
+    try:
+        return [check(value) for value in values]
+    except FieldError as exc:
+        _err("E-MANIFEST-SYNTAX", file, lineno, str(exc))
 
 
 def parse_manifest(text: str, filename: str = "<string>") -> Manifest:
@@ -98,22 +97,20 @@ def parse_manifest(text: str, filename: str = "<string>") -> Manifest:
             if len(fields) != 6 or fields[2] != "TREES" or fields[4] != "PREDARG":
                 _err("E-MANIFEST-SYNTAX", filename, lineno, "expected LANG <code> TREES <path> PREDARG <path>")
             code = fields[1]
-            if not _LANG_RE.match(code):
-                _err("E-MANIFEST-SYNTAX", filename, lineno, f"malformed language code {code!r}")
+            _checked(_check_language, [code], filename, lineno)
             if any(entry.code == code for entry in languages):
                 _err("E-MANIFEST-DUP", filename, lineno, f"duplicate language {code}")
             languages.append(LanguageEntry(code, fields[3], fields[5]))
         elif directive == "ALIGN":
             if len(fields) != 4:
                 _err("E-MANIFEST-SYNTAX", filename, lineno, "expected ALIGN <codeA> <codeB> <path>")
-            for code in fields[1:3]:
-                if not _LANG_RE.match(code):
-                    _err("E-MANIFEST-SYNTAX", filename, lineno, f"malformed language code {code!r}")
+            _checked(_check_language, fields[1:3], filename, lineno)
             aligns.append((lineno, AlignEntry(fields[1], fields[2], fields[3])))
         elif directive in _TAG_FIELDS:
             if len(fields) != 2 or _TAG_FIELDS[directive] in tags:
                 _err("E-MANIFEST-SYNTAX", filename, lineno, f"malformed or repeated {directive} line")
-            tags[_TAG_FIELDS[directive]] = _parse_tag_list(fields[1], filename, lineno)
+            tag_list = _checked(_check_tag, fields[1].split(","), filename, lineno)
+            tags[_TAG_FIELDS[directive]] = frozenset(tag_list)
         else:
             _err("E-MANIFEST-SYNTAX", filename, lineno, f"unknown directive {directive!r}")
     if not languages:
@@ -152,7 +149,7 @@ def parse_tag_registry(text: str, filename: str = "<string>") -> TagRegistry:
         fields = line.split()
         if len(fields) != 2 or fields[0] not in _TAG_FIELDS:
             _err("E-MANIFEST-SYNTAX", filename, lineno, f"expected BINDTAGS or ALIGNTAGS line, got {line!r}")
-        tags[_TAG_FIELDS[fields[0]]] = _parse_tag_list(fields[1], filename, lineno)
+        tags[_TAG_FIELDS[fields[0]]] = frozenset(_checked(_check_tag, fields[1].split(","), filename, lineno))
     return TagRegistry(**tags)
 
 
@@ -271,18 +268,6 @@ def _load_corpus(
         except ParseError as exc:
             diags.append(exc.diagnostic)
             continue
-        for pair in pairs:
-            left_lang = split_sentence_key(pair.left_sentence)[0]
-            right_lang = split_sentence_key(pair.right_sentence)[0]
-            if (left_lang, right_lang) != (entry.left_lang, entry.right_lang):
-                diags.append(
-                    Diagnostic.error(
-                        "E-PAIR-LANG",
-                        str(al_path),
-                        f"pair {pair.left_sentence} {pair.right_sentence} does not match"
-                        f" ALIGN {entry.left_lang} {entry.right_lang}",
-                    )
-                )
         pair_sets.append(PairSet(entry.left_lang, entry.right_lang, tuple(pairs)))
         pair_files.append(str(al_path))
 

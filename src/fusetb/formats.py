@@ -17,20 +17,25 @@ from functools import lru_cache
 from .model import (
     EMPTY_FROZENSET,
     MIN_NONTERMINAL_ID,
-    PRED_CLASSES,
     VIRTUAL_ROOT,
     Alignment,
     Argument,
     Binding,
     ElemRef,
+    FieldError,
     NodeRef,
     Predicate,
     SentencePairAlignment,
     SentenceTree,
     TagRegistry,
-    is_pred_id,
-    is_uppercase_name,
+    _check_edge,
+    _check_form,
+    _check_label,
+    _check_pred_id,
+    _check_sentence_id,
+    _check_tag,
     sort_elements,
+    split_sentence_key,
 )
 
 __all__ = [
@@ -48,11 +53,6 @@ __all__ = [
 
 ERROR = "ERROR"
 WARNING = "WARNING"
-
-_SID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-_LANG_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
-_TAG_RE = re.compile(r"^[a-z][a-z0-9-]*$")
-_LABEL_RE = re.compile(r"^\S+$")  # form / POS / category / edge fields: no whitespace
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,11 @@ class ParseError(Exception):
 
 def _err(code: str, file: str, line: int | None, message: str):
     raise ParseError(Diagnostic.error(code, file, message, line))
+
+
+def _field_fault(exc: FieldError, file: str, line: int):
+    """The one mapping of a model field rule's FieldError to a ParseError at the line of the field."""
+    _err(exc.code, file, line, str(exc))
 
 
 # Every character str.split() splits on but space, tab and LF: none may be inside a line.
@@ -136,15 +141,13 @@ def _shared_number(text: str) -> int | None:
         return None
 
 
-@lru_cache(maxsize=4096)
-def _shared_label(text: str) -> str | None:
-    """One shared string per valid POS, category or edge label (small inventories), else None."""
-    return sys.intern(text) if _LABEL_RE.match(text) else None
+# One shared string per POS, category or edge label (small inventories), once the model's rule passes it.
+_shared_label = lru_cache(maxsize=4096)(_check_label)
+_shared_edge = lru_cache(maxsize=4096)(_check_edge)
 
 
 def _check_sid(sid: str, seen: set[str] | dict[str, PredArg], filename: str, lineno: int) -> None:
-    if not _SID_RE.match(sid):
-        _err("E-SYNTAX", filename, lineno, f"malformed sentence id {sid!r}")
+    _check_sentence_id(sid)
     if sid in seen:
         _err("E-SENT-DUP", filename, lineno, f"duplicate sentence id {sid}")
 
@@ -221,94 +224,75 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
     seen_sids: set[str] = set()
     shared_forms: dict[str, str] = {}  # one string per distinct form in this file
     for (sid,), start, end, block in _blocks(text, filename, "#BOS", 1, "#EOS"):
-        _check_sid(sid, seen_sids, filename, start)
-        seen_sids.add(sid)
-        # one entry per node in column order (terminals, then nonterminals): node k is block[k]
-        forms, nt_ids, labels, edges, parents = [], [], [], [], []
-        for lineno, line in block:
-            fields = line.split("\t")
-            if len(fields) != 4:
-                _err("E-SYNTAX", filename, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
-            name, label, edge, parent_text = fields
-            parent = _shared_number(parent_text)
-            if parent is None:
-                _err("E-SYNTAX", filename, lineno, f"malformed parent reference {parent_text!r}")
-            if parent != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
-                _err("E-SYNTAX", filename, lineno, f"parent must be 0 or a nonterminal id, got {parent}")
-            label = _shared_label(label)
-            if label is None:
-                _err("E-SYNTAX", filename, lineno, "empty or malformed label field")
-            edge_label = _shared_label(edge)
-            if edge_label is None:
-                _err("E-SYNTAX", filename, lineno, "empty or malformed edge field")
-            if name.startswith("#"):
-                node_id = _shared_number(name[1:])
-                if node_id is None:
-                    _err("E-SYNTAX", filename, lineno, f"malformed nonterminal id {name!r}")
-                if node_id < MIN_NONTERMINAL_ID:
-                    _err(
-                        "E-NODE-ID-RANGE",
-                        filename,
-                        lineno,
-                        f"nonterminal id {node_id} below {MIN_NONTERMINAL_ID}",
-                    )
-                if node_id in nt_ids:
-                    _err("E-NODE-DUP", filename, lineno, f"duplicate nonterminal id {node_id}")
-                if nt_ids and node_id < nt_ids[-1]:
-                    _err("E-SYNTAX", filename, lineno, "nonterminal ids must be ascending")
-                nt_ids.append(node_id)
-            else:
-                if nt_ids:
-                    _err("E-SYNTAX", filename, lineno, "terminal line after nonterminal lines")
-                form = shared_forms.get(name)
-                if form is None:
-                    if not _LABEL_RE.match(name):
-                        _err("E-SYNTAX", filename, lineno, "empty token form or whitespace in form")
-                    form = shared_forms[name] = name
-                forms.append(form)
-            labels.append(label)
-            edges.append(None if edge_label == "--" else edge_label)
-            parents.append(parent)
-        if not forms:
-            _err("E-SYNTAX", filename, end, f"sentence {sid} has no terminals")
-        n = len(forms)
-        known = set(nt_ids)
-        for pos, parent in enumerate(parents):
-            if parent != VIRTUAL_ROOT and parent not in known:
-                node = f"token {pos + 1}" if pos < n else f"node {nt_ids[pos - n]}"
-                _err(
-                    "E-PARENT-UNKNOWN",
-                    filename,
-                    block[pos][0],
-                    f"sentence {sid}: {node} attached to unknown node {parent}",
-                )
-        parent_of = dict(zip(nt_ids, parents[n:]))
-        cleared: set[int] = set()
-        for node_id in nt_ids:
-            path: set[int] = set()
-            while node_id != VIRTUAL_ROOT and node_id not in cleared:
-                if node_id in path:
-                    _err(
-                        "E-TREE-CYCLE",
-                        filename,
-                        block[n + nt_ids.index(node_id)][0],
-                        f"sentence {sid}: cycle through node {node_id}",
-                    )
-                path.add(node_id)
-                node_id = parent_of[node_id]
-            cleared.update(path)
-        with_children = set(parents)
-        for pos, node_id in enumerate(nt_ids):
-            if node_id not in with_children:
-                _err(
-                    "E-NT-EMPTY",
-                    filename,
-                    block[n + pos][0],
-                    f"sentence {sid}: node {node_id} has no children",
-                )
-        trees.append(
-            SentenceTree(sid, tuple(forms), tuple(labels), tuple(edges), tuple(parents), tuple(nt_ids))
-        )
+        lineno = start  # the line of the field a FieldError names
+        try:
+            _check_sid(sid, seen_sids, filename, start)
+            seen_sids.add(sid)
+            # one entry per node in column order (terminals, then nonterminals): node k is block[k]
+            forms, nt_ids, labels, edges, parents = [], [], [], [], []
+            for lineno, line in block:
+                fields = line.split("\t")
+                if len(fields) != 4:
+                    _err("E-SYNTAX", filename, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
+                name, label, edge, parent_text = fields
+                parent = _shared_number(parent_text)
+                if parent is None:
+                    _err("E-SYNTAX", filename, lineno, f"malformed parent reference {parent_text!r}")
+                if parent != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
+                    _err("E-SYNTAX", filename, lineno, f"parent must be 0 or a nonterminal id, got {parent}")
+                label = _shared_label(label)
+                edge = None if edge == "--" else _shared_edge(edge)
+                if name.startswith("#"):
+                    node_id = _shared_number(name[1:])
+                    if node_id is None:
+                        _err("E-SYNTAX", filename, lineno, f"malformed nonterminal id {name!r}")
+                    if node_id < MIN_NONTERMINAL_ID:
+                        _err("E-NODE-ID-RANGE", filename, lineno,
+                             f"nonterminal id {node_id} below {MIN_NONTERMINAL_ID}")
+                    if node_id in nt_ids:
+                        _err("E-NODE-DUP", filename, lineno, f"duplicate nonterminal id {node_id}")
+                    if nt_ids and node_id < nt_ids[-1]:
+                        _err("E-SYNTAX", filename, lineno, "nonterminal ids must be ascending")
+                    nt_ids.append(node_id)
+                else:
+                    if nt_ids:
+                        _err("E-SYNTAX", filename, lineno, "terminal line after nonterminal lines")
+                    form = shared_forms.get(name)
+                    if form is None:
+                        form = shared_forms[name] = _check_form(name)
+                    forms.append(form)
+                labels.append(label)
+                edges.append(edge)
+                parents.append(parent)
+            if not forms:
+                _err("E-SYNTAX", filename, end, f"sentence {sid} has no terminals")
+            n = len(forms)
+            known = set(nt_ids)
+            for pos, parent in enumerate(parents):
+                if parent != VIRTUAL_ROOT and parent not in known:
+                    node = f"token {pos + 1}" if pos < n else f"node {nt_ids[pos - n]}"
+                    _err("E-PARENT-UNKNOWN", filename, block[pos][0],
+                         f"sentence {sid}: {node} attached to unknown node {parent}")
+            parent_of = dict(zip(nt_ids, parents[n:]))
+            cleared: set[int] = set()
+            for node_id in nt_ids:
+                path: set[int] = set()
+                while node_id != VIRTUAL_ROOT and node_id not in cleared:
+                    if node_id in path:
+                        _err("E-TREE-CYCLE", filename, block[n + nt_ids.index(node_id)][0],
+                             f"sentence {sid}: cycle through node {node_id}")
+                    path.add(node_id)
+                    node_id = parent_of[node_id]
+                cleared.update(path)
+            with_children = set(parents)
+            for pos, node_id in enumerate(nt_ids):
+                if node_id not in with_children:
+                    _err("E-NT-EMPTY", filename, block[n + pos][0],
+                         f"sentence {sid}: node {node_id} has no children")
+            columns = tuple(forms), tuple(labels), tuple(edges), tuple(parents), tuple(nt_ids)
+            trees.append(SentenceTree(sid, *columns))
+        except FieldError as exc:
+            _field_fault(exc, filename, lineno)
     return trees
 
 
@@ -362,43 +346,14 @@ def _split_kv(fields: list[str], allowed: tuple[str, ...], filename: str, lineno
 
 @lru_cache(maxsize=4096)
 def _shared_node_set(value: str) -> frozenset[NodeRef]:
-    """One shared frozenset per distinct nodes=/excl= value; ValueError names a malformed ref."""
+    """One shared frozenset per distinct nodes=/excl= value; FieldError names a malformed ref."""
     return frozenset(map(NodeRef.parse, value.split(",")))
-
-
-def _parse_ref(parse, text: str, filename: str, lineno: int):
-    """parse(text), its ValueError (a malformed node or element reference) as E-REF-SYNTAX."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        _err("E-REF-SYNTAX", filename, lineno, str(exc))
 
 
 @lru_cache(maxsize=4096)
 def _shared_tag_set(value: str) -> frozenset[str]:
     """One shared frozenset per distinct tags= value; the caller checks its tags."""
     return frozenset(value.split(","))
-
-
-def _check_tag(tag: str, allowed: frozenset[str], what: str, filename: str, lineno: int) -> str:
-    if not _TAG_RE.match(tag):
-        _err("E-SYNTAX", filename, lineno, f"malformed tag {tag!r}")
-    if tag not in allowed:
-        _err("E-TAG-UNKNOWN", filename, lineno, f"unknown {what} tag {tag!r}")
-    return tag
-
-
-def _parse_tags(value: str, registry: TagRegistry, filename: str, lineno: int) -> frozenset[str]:
-    # each tag is checked on every line, in file order, against this call's registry
-    for tag in value.split(","):
-        _check_tag(tag, registry.binding_tags, "binding", filename, lineno)
-    return _shared_tag_set(value)
-
-
-def _check_name(value: str, what: str, filename: str, lineno: int) -> str:
-    if not is_uppercase_name(value):
-        _err("E-CASE", filename, lineno, f"{what} {value!r} must be uppercase letters, _ or -")
-    return sys.intern(value)  # lemmas, groups and roles come from small inventories
 
 
 def parse_predarg(
@@ -412,61 +367,56 @@ def parse_predarg(
     registry = registry or TagRegistry()
     result: dict[str, PredArg] = {}
     for (sid,), start, _, block in _blocks(text, filename, "#SENT", 1):
-        _check_sid(sid, result, filename, start)
-        preds, args, bindings = [], [], []
-        for lineno, line in block:
-            fields = line.split()
-            if len(fields) < 2 or fields[0] not in ("PRED", "ARG"):
-                _err("E-SYNTAX", filename, lineno, f"expected PRED or ARG line, got {line!r}")
-            pid = sys.intern(fields[1])
-            if not is_pred_id(pid):
-                _err("E-REF-SYNTAX", filename, lineno, f"malformed predicate id {pid!r}")
-            if fields[0] == "PRED":
-                kv = _split_kv(fields[2:], ("lemma", "class", "group", "nodes", "excl", "tags"), filename, lineno)
-                for required in ("lemma", "class", "group"):
-                    if required not in kv:
-                        _err("E-SYNTAX", filename, lineno, f"PRED line missing {required}=")
-                if any(p.pred_id == pid for p in preds):
-                    _err("E-PRED-DUP", filename, lineno, f"duplicate predicate id {pid}")
-                if kv["class"] not in PRED_CLASSES:
-                    _err(
-                        "E-CLASS",
-                        filename,
-                        lineno,
-                        f"predicate class {kv['class']!r} not in {{v,n,a}}",
-                    )
-                lemma = _check_name(kv["lemma"], "lemma", filename, lineno)
-                group = _check_name(kv["group"], "group", filename, lineno)
-                preds.append(Predicate(pid, lemma, sys.intern(kv["class"]), group))
-                target = ElemRef.of(pid)
-            else:
-                kv = _split_kv(fields[2:], ("role", "nodes", "excl", "tags"), filename, lineno)
-                if "role" not in kv:
-                    _err("E-SYNTAX", filename, lineno, "ARG line missing role=")
-                if not any(p.pred_id == pid for p in preds):
-                    _err("E-ORDER", filename, lineno, f"ARG before PRED line for {pid}")
-                role = _check_name(kv["role"], "role", filename, lineno)
-                if any(a.pred_id == pid and a.role == role for a in args):
-                    _err("E-ROLE-DUP", filename, lineno, f"duplicate role {role} for predicate {pid}")
-                args.append(Argument(pid, role))
-                target = ElemRef.of(pid, role)
-            if "excl" in kv and "nodes" not in kv:
-                _err("E-SYNTAX", filename, lineno, "excl= requires nodes=")
-            if "nodes" in kv:
-                included = _parse_ref(_shared_node_set, kv["nodes"], filename, lineno)
-                excluded = (
-                    _parse_ref(_shared_node_set, kv["excl"], filename, lineno)
-                    if "excl" in kv
-                    else EMPTY_FROZENSET
-                )
-                tags = (
-                    _parse_tags(kv["tags"], registry, filename, lineno)
-                    if "tags" in kv
-                    else EMPTY_FROZENSET
-                )
-                bindings.append(Binding(target, included, excluded, tags))
-            elif "tags" in kv:
-                _err("E-SYNTAX", filename, lineno, "tags= requires nodes=")
+        lineno = start  # the line of the field a FieldError names
+        try:
+            _check_sid(sid, result, filename, start)
+            preds, args, bindings, pred_ids = [], [], [], set()
+            for lineno, line in block:
+                fields = line.split()
+                if len(fields) < 2 or fields[0] not in ("PRED", "ARG"):
+                    _err("E-SYNTAX", filename, lineno, f"expected PRED or ARG line, got {line!r}")
+                pid = sys.intern(fields[1])
+                _check_pred_id(pid)
+                # lemmas, classes, groups and roles come from small inventories: intern them
+                if fields[0] == "PRED":
+                    keys = ("lemma", "class", "group", "nodes", "excl", "tags")
+                    kv = _split_kv(fields[2:], keys, filename, lineno)
+                    for required in ("lemma", "class", "group"):
+                        if required not in kv:
+                            _err("E-SYNTAX", filename, lineno, f"PRED line missing {required}=")
+                    if pid in pred_ids:
+                        _err("E-PRED-DUP", filename, lineno, f"duplicate predicate id {pid}")
+                    pred_ids.add(pid)
+                    preds.append(Predicate(pid, sys.intern(kv["lemma"]), sys.intern(kv["class"]),
+                                           sys.intern(kv["group"])))
+                    target = ElemRef.of(pid)
+                else:
+                    kv = _split_kv(fields[2:], ("role", "nodes", "excl", "tags"), filename, lineno)
+                    if "role" not in kv:
+                        _err("E-SYNTAX", filename, lineno, "ARG line missing role=")
+                    if pid not in pred_ids:
+                        _err("E-ORDER", filename, lineno, f"ARG before PRED line for {pid}")
+                    arg = Argument(pid, sys.intern(kv["role"]))
+                    if arg in args:
+                        _err("E-ROLE-DUP", filename, lineno, f"duplicate role {arg.role} for predicate {pid}")
+                    args.append(arg)
+                    target = ElemRef.of(pid, arg.role)
+                if "excl" in kv and "nodes" not in kv:
+                    _err("E-SYNTAX", filename, lineno, "excl= requires nodes=")
+                if "nodes" in kv:
+                    included = _shared_node_set(kv["nodes"])
+                    excluded = _shared_node_set(kv["excl"]) if "excl" in kv else EMPTY_FROZENSET
+                    tags = EMPTY_FROZENSET
+                    if "tags" in kv:  # each tag in file order: its shape, then this call's registry
+                        for tag in kv["tags"].split(","):
+                            if _check_tag(tag) not in registry.binding_tags:
+                                _err("E-TAG-UNKNOWN", filename, lineno, f"unknown binding tag {tag!r}")
+                        tags = _shared_tag_set(kv["tags"])
+                    bindings.append(Binding(target, included, excluded, tags))
+                elif "tags" in kv:
+                    _err("E-SYNTAX", filename, lineno, "tags= requires nodes=")
+        except FieldError as exc:
+            _field_fault(exc, filename, lineno)
         result[sid] = PredArg(tuple(preds), tuple(args), tuple(bindings))
     return result
 
@@ -535,26 +485,28 @@ def parse_alignments(
     pairs: list[SentencePairAlignment] = []
     seen: set[tuple[str, str]] = set()
     for (left, right), start, _, block in _blocks(text, filename, "#PAIR", 2):
-        for part in (left, right):
-            lang, sep, sid = part.partition(":")
-            if not sep or not _LANG_RE.match(lang) or not _SID_RE.match(sid):
-                _err("E-SYNTAX", filename, start, f"malformed sentence reference {part!r}")
-        if (left, right) in seen:
-            _err("E-PAIR-DUP", filename, start, f"duplicate pair {left} {right}")
-        seen.add((left, right))
-        alignments: list[Alignment] = []
-        for lineno, line in block:
-            fields = line.split()
-            if len(fields) not in (3, 4) or fields[0] not in ("PALIGN", "AALIGN"):
-                _err("E-SYNTAX", filename, lineno, f"expected PALIGN or AALIGN line, got {line!r}")
-            kind = "pred" if fields[0] == "PALIGN" else "arg"
-            left_ref = _parse_ref(ElemRef.parse, fields[1], filename, lineno)
-            right_ref = _parse_ref(ElemRef.parse, fields[2], filename, lineno)
-            tag = None
-            if len(fields) == 4:
-                value = _split_kv(fields[3:], ("tag",), filename, lineno)["tag"]
-                tag = _check_tag(value, registry.alignment_tags, "alignment", filename, lineno)
-            alignments.append(Alignment(kind, left_ref, right_ref, tag))
+        lineno = start  # the line of the field a FieldError names
+        try:
+            split_sentence_key(left)
+            split_sentence_key(right)
+            if (left, right) in seen:
+                _err("E-PAIR-DUP", filename, start, f"duplicate pair {left} {right}")
+            seen.add((left, right))
+            alignments: list[Alignment] = []
+            for lineno, line in block:
+                fields = line.split()
+                if len(fields) not in (3, 4) or fields[0] not in ("PALIGN", "AALIGN"):
+                    _err("E-SYNTAX", filename, lineno, f"expected PALIGN or AALIGN line, got {line!r}")
+                kind = "pred" if fields[0] == "PALIGN" else "arg"
+                left_ref, right_ref = ElemRef.parse(fields[1]), ElemRef.parse(fields[2])
+                tag = None
+                if len(fields) == 4:
+                    tag = _check_tag(_split_kv(fields[3:], ("tag",), filename, lineno)["tag"])
+                    if tag not in registry.alignment_tags:
+                        _err("E-TAG-UNKNOWN", filename, lineno, f"unknown alignment tag {tag!r}")
+                alignments.append(Alignment(kind, left_ref, right_ref, tag))
+        except FieldError as exc:
+            _field_fault(exc, filename, lineno)
         pairs.append(SentencePairAlignment(left, right, tuple(alignments)))
     return pairs
 

@@ -1,7 +1,7 @@
 """In-memory model of layered parallel-treebank annotation.
 
-README.md ("Library") is the contract: immutability, canonical order, shared leaves and
-derived indexes.
+README.md ("Library") is the contract: immutability, canonical order, shared leaves,
+derived indexes and the field rules, whose one owner this module is.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -26,8 +26,12 @@ DEFAULT_ALIGNMENT_TAGS = frozenset(("abs-opp", "incomp"))
 VIRTUAL_ROOT = 0
 MIN_NONTERMINAL_ID = 500
 
-_NODE_REF_RE = re.compile(r"^([tn])([0-9]+)$")
-_PRED_ID_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_NODE_REF_RE = re.compile(r"([tn])([0-9]+)")
+_PRED_ID_RE = re.compile(r"[a-z][a-z0-9_]*")
+_SID_RE = re.compile(r"[A-Za-z0-9_.-]+")
+_LANG_RE = re.compile(r"[a-z][a-z0-9_-]*")
+_TAG_RE = re.compile(r"[a-z][a-z0-9-]*")
+_LABEL_RE = re.compile(r"\S+")  # word forms and POS, category and edge labels: no whitespace
 
 # Every empty Binding.excluded and Binding.tags is this one frozenset.
 EMPTY_FROZENSET: frozenset = frozenset()
@@ -59,6 +63,14 @@ class EmptyYieldError(ValueError):
     """A binding's included-minus-excluded token set is empty."""
 
 
+class FieldError(ValueError):
+    """A field value that the file grammar (README, "Corpus layout") rejects; code is the code a file gets."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 @lru_cache(maxsize=4096)  # names come from small inventories; each is checked once
 def is_uppercase_name(text: str) -> bool:
     """True if text is a valid lemma/role/group name: uppercase letters, _ or -."""
@@ -67,8 +79,55 @@ def is_uppercase_name(text: str) -> bool:
     return all(c in "_-" or unicodedata.category(c) == "Lu" for c in text)
 
 
-def is_pred_id(text: str) -> bool:
-    return bool(_PRED_ID_RE.match(text))
+def _check_name(value: str, what: str) -> None:
+    if not is_uppercase_name(value):
+        raise FieldError("E-CASE", f"{what} {value!r} must be uppercase letters, _ or -")
+
+
+def _match(pattern: re.Pattern, code: str, message: str, value: str) -> str:
+    """value, when pattern matches it whole; else a FieldError whose message names it at {!r}."""
+    if pattern.fullmatch(value) is None:
+        raise FieldError(code, message.format(value))
+    return value
+
+
+# The field rules: the constructors below check their fields with them, and the parsers call
+# them where a file gives a field before its value is built. Predicate ids and tags come from
+# small inventories, so their rules cache what passed.
+_check_pred_id = lru_cache(4096)(partial(_match, _PRED_ID_RE, "E-REF-SYNTAX", "malformed predicate id {!r}"))
+_check_sentence_id = partial(_match, _SID_RE, "E-SYNTAX", "malformed sentence id {!r}")
+_check_language = partial(_match, _LANG_RE, "E-MANIFEST-SYNTAX", "malformed language code {!r}")
+_check_label = partial(_match, _LABEL_RE, "E-SYNTAX", "empty or malformed label field")
+_check_tag = lru_cache(4096)(partial(_match, _TAG_RE, "E-SYNTAX", "malformed tag {!r}"))
+
+
+def _check_form(form: str) -> str:
+    if _LABEL_RE.fullmatch(form) is None:
+        raise FieldError("E-SYNTAX", "empty token form or whitespace in form")
+    if form.startswith(("#", "%%")):  # its line would be a nonterminal or a comment
+        raise FieldError("E-SYNTAX", f"token form {form!r} starts with # or %%")
+    return form
+
+
+def _check_edge(edge: str | None) -> str | None:
+    """An edge label, or None for an absent edge, which a file writes as --."""
+    if edge is not None and (edge == "--" or _LABEL_RE.fullmatch(edge) is None):
+        raise FieldError("E-SYNTAX", "empty or malformed edge field")
+    return edge
+
+
+# The rules of a tree's forms, labels and edges, and the values that passed each, so that a
+# tree whose values all did costs three C-level superset tests; a set past 4096 is emptied.
+_COLUMN_RULES = (_check_form, _check_label, _check_edge)
+_PASSED: tuple[set, set, set] = (set(), set(), set())
+
+
+def split_sentence_key(key: str) -> tuple[str, str]:
+    """(language code, sentence id) of a lang-qualified sentence key such as en:s1."""
+    lang, sep, sid = key.partition(":")
+    if not sep or _LANG_RE.fullmatch(lang) is None or _SID_RE.fullmatch(sid) is None:
+        raise FieldError("E-SYNTAX", f"malformed sentence reference {key!r}")
+    return lang, sid
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,12 +137,20 @@ class NodeRef:
     kind: str
     num: int
 
+    def __post_init__(self):
+        if self.kind not in ("t", "n"):
+            raise FieldError("E-REF-SYNTAX", f"malformed node reference {str(self)!r} (expected t<k> or n<id>)")
+
     @classmethod
     def parse(cls, text: str) -> "NodeRef":
-        m = _NODE_REF_RE.match(text)
+        m = _NODE_REF_RE.fullmatch(text)
         if not m:
-            raise ValueError(f"malformed node reference {text!r} (expected t<k> or n<id>)")
-        return _shared_node_ref(m.group(1), int(m.group(2)))
+            raise FieldError("E-REF-SYNTAX", f"malformed node reference {text!r} (expected t<k> or n<id>)")
+        try:
+            num = int(m.group(2))
+        except ValueError as exc:  # more digits than int() converts
+            raise FieldError("E-REF-SYNTAX", str(exc)) from None
+        return _shared_node_ref(m.group(1), num)
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -101,13 +168,15 @@ class ElemRef:
     pred_id: str
     role: str | None = None
 
+    def __post_init__(self):
+        if _PRED_ID_RE.fullmatch(self.pred_id) is None:
+            raise FieldError("E-REF-SYNTAX", f"malformed element reference {str(self)!r}: bad predicate id")
+        if self.role is not None and not is_uppercase_name(self.role):
+            raise FieldError("E-REF-SYNTAX", f"malformed element reference {str(self)!r}: bad role name")
+
     @classmethod
     def parse(cls, text: str) -> "ElemRef":
         pred_id, dot, role = text.partition(".")
-        if not is_pred_id(pred_id):
-            raise ValueError(f"malformed element reference {text!r}: bad predicate id")
-        if dot and not is_uppercase_name(role):
-            raise ValueError(f"malformed element reference {text!r}: bad role name")
         return _shared_elem_ref(pred_id, role if dot else None)
 
     @classmethod
@@ -143,6 +212,15 @@ class SentenceTree:
     edges: tuple[str | None, ...]
     parents: tuple[int, ...]
     nt_ids: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        _check_sentence_id(self.sentence_id)
+        columns = (self.tokens, self.labels, self.edges)
+        if not all(map(set.issuperset, _PASSED, columns)):
+            for check, passed, values in zip(_COLUMN_RULES, _PASSED, columns):
+                if len(passed) > 4096:
+                    passed.clear()
+                passed.update(map(check, values))
 
     def has_node(self, ref: NodeRef) -> bool:
         if ref.kind == "t":
@@ -195,11 +273,22 @@ class Predicate:
     syn_class: str
     group: str
 
+    def __post_init__(self):
+        _check_pred_id(self.pred_id)
+        if self.syn_class not in PRED_CLASSES:
+            raise FieldError("E-CLASS", f"predicate class {self.syn_class!r} not in {{v,n,a}}")
+        _check_name(self.lemma, "lemma")
+        _check_name(self.group, "group")
+
 
 @dataclass(frozen=True, slots=True)
 class Argument:
     pred_id: str
     role: str
+
+    def __post_init__(self):
+        _check_pred_id(self.pred_id)
+        _check_name(self.role, "role")
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,6 +311,8 @@ class Binding:
         object.__setattr__(self, "included", frozenset(self.included))
         object.__setattr__(self, "excluded", frozenset(self.excluded) or EMPTY_FROZENSET)
         object.__setattr__(self, "tags", frozenset(self.tags) or EMPTY_FROZENSET)
+        for tag in self.tags:
+            _check_tag(tag)
 
 
 def resolve_yield(tree: SentenceTree, binding: Binding) -> list[int]:
@@ -337,6 +428,12 @@ class Alignment:
     right: ElemRef
     tag: str | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("pred", "arg"):
+            raise FieldError("E-SYNTAX", f"alignment kind {self.kind!r} not in {{pred,arg}}")
+        if self.tag is not None:
+            _check_tag(self.tag)
+
     @property
     def sort_key(self):
         return (self.left.sort_key, self.right.sort_key, self.kind, self.tag or "")
@@ -351,6 +448,8 @@ class SentencePairAlignment:
     alignments: tuple[Alignment, ...] = ()
 
     def __post_init__(self):
+        split_sentence_key(self.left_sentence)
+        split_sentence_key(self.right_sentence)
         ordered = tuple(sorted(self.alignments, key=lambda a: a.sort_key))
         object.__setattr__(self, "alignments", ordered)
 
@@ -364,6 +463,8 @@ class PairSet:
     pairs: tuple[SentencePairAlignment, ...] = ()
 
     def __post_init__(self):
+        _check_language(self.left_lang)
+        _check_language(self.right_lang)
         ordered = tuple(
             sorted(self.pairs, key=lambda p: (p.left_sentence, p.right_sentence))
         )
@@ -390,16 +491,13 @@ class TagRegistry:
     binding_tags: frozenset[str] = DEFAULT_BINDING_TAGS
     alignment_tags: frozenset[str] = DEFAULT_ALIGNMENT_TAGS
 
+    def __post_init__(self):
+        for tag in self.binding_tags | self.alignment_tags:
+            _check_tag(tag)
+
 
 def sentence_key(lang: str, sentence_id: str) -> str:
     return f"{lang}:{sentence_id}"
-
-
-def split_sentence_key(key: str) -> tuple[str, str]:
-    lang, sep, sid = key.partition(":")
-    if not sep or not lang or not sid:
-        raise ValueError(f"malformed sentence key {key!r} (expected <lang>:<id>)")
-    return lang, sid
 
 
 @dataclass(frozen=True)
@@ -420,6 +518,8 @@ class ParallelCorpus:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for lang in self.treebanks:
+            _check_language(lang)
         banks = {
             lang: tuple(sorted(anns, key=lambda a: a.sentence_id))
             for lang, anns in self.treebanks.items()

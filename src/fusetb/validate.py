@@ -21,6 +21,7 @@ from .model import (
     group_roles,
     is_ancestor,
     resolve_yield,
+    split_sentence_key,
 )
 
 __all__ = [
@@ -188,13 +189,24 @@ def validate_corpus(
     if pair_files is None:
         pair_files = [f"<{ps.left_lang}-{ps.right_lang}>" for ps in corpus.pair_sets]
     diags: list[Diagnostic] = []
+    registered = corpus.tag_registry.binding_tags
     for lang in corpus.languages:
         label = lang_files.get(lang, f"<{lang}>")
         for ann in corpus.treebanks[lang]:
             diags.extend(validate_monolingual(ann, label))
+            diags.extend(
+                Diagnostic.error("E-BIND-TAG", label, f"sentence {ann.sentence_id}, binding of {b.target}:"
+                                                      f" unregistered tag {tag!r}")
+                for b in ann.bindings if not b.tags <= registered for tag in b.tags - registered
+            )
         diags.extend(check_group_roles(corpus.treebanks[lang], file=label))
     for pair_set, label in zip(corpus.pair_sets, pair_files, strict=True):
+        align = (pair_set.left_lang, pair_set.right_lang)
         for pair in pair_set.pairs:
+            keys = (pair.left_sentence, pair.right_sentence)
+            if tuple(split_sentence_key(key)[0] for key in keys) != align:
+                diags.append(Diagnostic.error(
+                    "E-PAIR-LANG", label, f"pair {' '.join(keys)} does not match ALIGN {' '.join(align)}"))
             diags.extend(validate_pair(corpus, pair, file=label))
     diags = _sorted_unique(diags)
     ok = not any(d.is_error for d in diags)

@@ -70,8 +70,8 @@ def _name(pred_id: str, role: str | None) -> str:
     return pred_id if role is None else f"{pred_id}.{role}"
 
 
-def _sentence_faults(ann):
-    """(code, subject) of each single-sentence fault of ann, from its raw records."""
+def _sentence_faults(ann, binding_tags):
+    """(code, subject) of each fault of ann, from its raw records; binding_tags is the registry's."""
     tree = ann.tree
     preds = {p.pred_id for p in ann.predicates}
     args = {(a.pred_id, a.role) for a in ann.arguments}
@@ -87,6 +87,9 @@ def _sentence_faults(ann):
             yield "E-BIND-DANGLE", (target, None, None)
         if b.tags and key[1] is not None:
             yield "E-TAG-ON-ARG", (target, str(sorted(b.tags)))
+        for tag in b.tags:
+            if tag not in binding_tags:
+                yield "E-BIND-TAG", (target, repr(tag))
         dangling = [
             ref for ref in b.included | b.excluded
             if not (1 <= ref.num <= len(tree.tokens) if ref.kind == "t" else ref.num in tree.nt_ids)
@@ -170,7 +173,8 @@ def oracle_diagnostics(corpus: ParallelCorpus) -> set[tuple]:
         roles: dict[str, set[str]] = {}
         for ann in anns:
             expected.update(
-                (code, f"<{lang}>", ann.sentence_id, subject) for code, subject in _sentence_faults(ann)
+                (code, f"<{lang}>", ann.sentence_id, subject)
+                for code, subject in _sentence_faults(ann, corpus.tag_registry.binding_tags)
             )
             group_of = {p.pred_id: p.group for p in ann.predicates}
             for a in ann.arguments:
@@ -194,6 +198,9 @@ def oracle_diagnostics(corpus: ParallelCorpus) -> set[tuple]:
         file = f"<{pair_set.left_lang}-{pair_set.right_lang}>"
         for pair in pair_set.pairs:
             scope = f"{pair.left_sentence} {pair.right_sentence}"
+            key_langs = (pair.left_sentence.partition(":")[0], pair.right_sentence.partition(":")[0])
+            if key_langs != (pair_set.left_lang, pair_set.right_lang):
+                expected.add(("E-PAIR-LANG", file, scope, (pair_set.left_lang, pair_set.right_lang)))
             expected.update((code, file, scope, subject) for code, subject in _pair_faults(declared, tags, pair))
     return expected
 

@@ -415,7 +415,7 @@ def test_validate_imports_neither_query_nor_suggest_nor_json():
 
 PACKAGE_NAMES = (
     "Alignment", "Argument", "Binding", "CorpusStats", "Diagnostic", "ElemRef", "EmptyYieldError",
-    "Manifest", "MonolingualAnnotation", "NodeRef", "PairSet", "ParallelCorpus", "ParseError",
+    "FieldError", "Manifest", "MonolingualAnnotation", "NodeRef", "PairSet", "ParallelCorpus", "ParseError",
     "PredArg", "Predicate", "Query", "QueryError", "ResolutionError", "RoleSuggestion",
     "SentencePairAlignment", "SentenceTree", "TagRegistry", "compute_stats", "corpus", "formats",
     "load_corpus", "model", "node_yield", "parse_alignments", "parse_manifest", "parse_predarg",

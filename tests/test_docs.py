@@ -30,6 +30,20 @@ def test_diagnostic_codes_match_readme():
     assert "E-IO" in src and "W-ROLE-NEAR-DUP" in src
     assert src - readme == set(), "codes used in src/ but not documented in README.md"
     assert readme - src == set(), "codes documented in README.md but not used in src/"
+    # each code sits in the README part of the layer that raises it
+    validate_py = (REPO_ROOT / "src" / "fusetb" / "validate.py").read_text(encoding="utf-8")
+    validation = set(_SRC_CODE_RE.findall(validate_py))
+    section = _README.split("\n## Diagnostic codes\n", 1)[1].split("\n## ", 1)[0]
+    parts = re.split(r"\n(?=Validation reports |Query errors )", section)
+    assert [part.split()[0] for part in parts] == ["Parsing", "Validation", "Query"]
+    placed = [(code, layer) for layer, part in zip(("parsing", "validation", "query"), parts)
+              for code in set(_README_CODE_RE.findall(part))]
+    documented = dict(placed)
+    assert len(documented) == len(placed), "a code documented in two layers"
+    assert documented == {
+        code: "validation" if code in validation else "query" if code.startswith("E-Q-") else "parsing"
+        for code in src
+    }
 
 
 def _command_line_examples() -> list[str]:

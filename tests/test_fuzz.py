@@ -9,12 +9,13 @@ every diagnostic code is one README documents, every diagnostic names a
 file of the corpus or the export with a line inside that file, and an
 export that succeeds must validate and reload equal to the corpus it was
 written from.
-Raise CASES or LATER_CASES for a longer seed sweep.
+Raise CASES, LATER_CASES or FIELD_CASES for a longer seed sweep.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,10 @@ from .test_docs import _README_CODE_RE
 
 CASES = 100
 # Cases numbered from CASES on draw from LATER_MUTATIONS, kinds added after
-# the first seeds were fixed, so every case below CASES keeps its mutation.
+# the first seeds were fixed, so every case below CASES keeps its mutation;
+# the FIELD_CASES after those draw from FIELD_MUTATIONS, a third tier.
 LATER_CASES = 30
+FIELD_CASES = 12
 README_CODES = set(_README_CODE_RE.findall((REPO_ROOT / "README.md").read_text(encoding="utf-8")))
 TAGS_FILE = "tags.registry"
 TARGETS = FIXTURE_FILES + (TAGS_FILE,)
@@ -134,11 +137,35 @@ LATER_MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("seed", range(CASES + LATER_CASES))
+# (pattern of the values one field rule owns, the value broken): a lemma, group or role
+# lowercased, a class set to x, a tag swapped for an unregistered one, a space in a .tb label
+_FIELD_RULES = (
+    (rb"(?:lemma|group|role)=(\S+)", bytes.lower),
+    (rb"\.([A-Z]\S*)", bytes.lower),  # the role of an .al argument reference
+    (rb"class=(\S+)", lambda value: b"x"),
+    (rb"(?:tags?=|TAGS )([a-z-]+)", lambda value: b"zzz"),
+    (rb"\t([^\t\n]+)(?=\t)", lambda value: value[:1] + b" " + value[1:]),
+)
+
+
+def _field_rule(rng: random.Random, data: bytes) -> bytes:
+    """Break one field rule the model owns, at a place of the file where it applies."""
+    places = [(m.span(1), broken) for pattern, broken in _FIELD_RULES for m in re.finditer(pattern, data)]
+    if not places:
+        return data
+    (start, end), broken = rng.choice(places)
+    return data[:start] + broken(data[start:end]) + data[end:]
+
+
+FIELD_MUTATIONS = {"field-rule": _field_rule}
+
+
+@pytest.mark.parametrize("seed", range(CASES + LATER_CASES + FIELD_CASES))
 def test_mutated_corpus_keeps_the_contract(seed, corpus_copy, tmp_path, monkeypatch, capsys):
     rng = random.Random(seed)
     (corpus_copy / TAGS_FILE).write_bytes(b"BINDTAGS imp,pv\nALIGNTAGS abs-opp,incomp\n")
-    mutations = MUTATIONS if seed < CASES else LATER_MUTATIONS
+    tiers = (MUTATIONS, LATER_MUTATIONS, FIELD_MUTATIONS)
+    mutations = tiers[(seed >= CASES) + (seed >= CASES + LATER_CASES)]
     target, kind = rng.choice(TARGETS), rng.choice(sorted(mutations))
     path = corpus_copy / target
     path.write_bytes(mutations[kind](rng, path.read_bytes()))

@@ -589,6 +589,22 @@ def _misspell_a_role(ann, rng):
         return mutated, "W-ROLE-NEAR-DUP", f"roles {misspelt.role} and {arg.role}"
 
 
+# Planters added after the exact-set test's seeds were fixed: they draw from an RNG of their
+# own there, so each seed keeps the faults the planters above give it.
+
+
+def _unregistered_binding_tag(ann, rng):
+    if ann.bindings:
+        i = rng.randrange(len(ann.bindings))
+        mutated = _rebind(ann, i, tags=ann.bindings[i].tags | {"bogus"})
+        return mutated, "E-BIND-TAG", f"binding of {ann.bindings[i].target}: unregistered tag 'bogus'"
+
+
+def _swap_pair_sentences(corpus, pair, rng):
+    mutated = dataclasses.replace(pair, left_sentence=pair.right_sentence, right_sentence=pair.left_sentence)
+    return mutated, "E-PAIR-LANG", f"pair {pair.right_sentence} {pair.left_sentence} does not match ALIGN"
+
+
 # One pattern per code: group 1 is the scope (sentence id, pair keys or group), and the
 # others are what oracle_diagnostics calls the subject.
 _MESSAGE_RES = {code: re.compile(pattern) for code, pattern in {
@@ -607,6 +623,8 @@ _MESSAGE_RES = {code: re.compile(pattern) for code, pattern in {
     "E-ALIGN-ORPHAN-ARG": r"pair (\S+ \S+): (\S+ ~ \S+): owner predicates (\S+) and (\S+)"
                           r" are not aligned in this pair",
     "E-ALIGN-TAG": r"pair (\S+ \S+): (\S+ ~ \S+): unregistered tag (.+)",
+    "E-BIND-TAG": r"sentence (\S+), binding of (\S+): unregistered tag (.+)",
+    "E-PAIR-LANG": r"pair (\S+ \S+) does not match ALIGN (\S+) (\S+)",
     "W-ROLE-NEAR-DUP": r"group (\S+): roles (\S+) and (\S+) look like near-duplicates",
 }.items()}
 
@@ -624,6 +642,7 @@ def test_validation_reports_exactly_the_oracle_set():
     reported = set()
     for seed in range(200):
         rng = random.Random(seed)
+        later = random.Random(-1 - seed)  # the later planters' own stream
         corpus = random_corpus(rng, max_sents=6)
         treebanks = {}
         for lang, anns in corpus.treebanks.items():
@@ -635,13 +654,16 @@ def test_validation_reports_exactly_the_oracle_set():
                     planters = ANNOTATION_FAULTS + (_bind_an_argument_over_its_predicate,
                                                     _drop_an_owner_predicate, _misspell_a_role)
                     ann = _chain_faults(rng, planters, ann)
-                faulty.append(ann)
+                fault = _unregistered_binding_tag(ann, later) if later.random() < 0.1 else None
+                faulty.append(fault[0] if fault else ann)
             treebanks[lang] = tuple(faulty)
         pair_set = corpus.pair_sets[0]
         pairs = tuple(
             _chain_faults(rng, PAIR_FAULTS, pair, corpus) if rng.random() < 0.6 else pair
             for pair in pair_set.pairs
         )
+        pairs = tuple(_swap_pair_sentences(corpus, pair, later)[0] if later.random() < 0.1 else pair
+                      for pair in pairs)
         mutated = ParallelCorpus(treebanks, (dataclasses.replace(pair_set, pairs=pairs),), corpus.tag_registry)
         got = []
         for d in validate_corpus(mutated)[1]:
@@ -652,3 +674,26 @@ def test_validation_reports_exactly_the_oracle_set():
         assert set(got) == oracle_diagnostics(mutated), seed
         reported.update(code for code, *_ in got)
     assert reported == set(_MESSAGE_RES)
+
+
+def test_pair_languages_must_match_their_pair_set():
+    corpus = random_corpus(random.Random(3), max_sents=4)
+    pair_set = corpus.pair_sets[0]
+    swapped = dataclasses.replace(pair_set, left_lang="de", right_lang="en")
+    validated, diags = validate_corpus(dataclasses.replace(corpus, pair_sets=(swapped,)))
+    assert not validated.validated and pair_set.pairs
+    assert [d.render() for d in diags] == [
+        f"ERROR\tE-PAIR-LANG\t<de-en>\tpair {pair.left_sentence} {pair.right_sentence} does not match ALIGN de en"
+        for pair in pair_set.pairs
+    ]
+
+
+def test_unregistered_binding_tags_are_reported():
+    tagged = Binding(ElemRef("p1"), frozenset({ref("t1")}), tags=frozenset({"pv", "refl", "zzz"}))
+    corpus = ParallelCorpus({"en": (annotation([P1], [], [tagged]),)})
+    assert [d.render() for d in validate_corpus(corpus)[1]] == [
+        "ERROR\tE-BIND-TAG\t<en>\tsentence s1, binding of p1: unregistered tag 'refl'",
+        "ERROR\tE-BIND-TAG\t<en>\tsentence s1, binding of p1: unregistered tag 'zzz'",
+    ]
+    registry = TagRegistry(binding_tags=frozenset({"pv", "refl", "zzz"}))
+    assert validate_corpus(ParallelCorpus(corpus.treebanks, (), registry))[1] == []
