@@ -16,8 +16,6 @@ from functools import lru_cache
 
 from .model import (
     EMPTY_FROZENSET,
-    MIN_NONTERMINAL_ID,
-    VIRTUAL_ROOT,
     Alignment,
     Argument,
     Binding,
@@ -31,6 +29,8 @@ from .model import (
     _check_edge,
     _check_form,
     _check_label,
+    _check_nt_id,
+    _check_parent,
     _check_pred_id,
     _check_sentence_id,
     _check_tag,
@@ -146,7 +146,15 @@ _shared_label = lru_cache(maxsize=4096)(_check_label)
 _shared_edge = lru_cache(maxsize=4096)(_check_edge)
 
 
-def _check_sid(sid: str, seen: set[str] | dict[str, PredArg], filename: str, lineno: int) -> None:
+@lru_cache(maxsize=4096)
+def _shared_parent(text: str) -> int:
+    """One shared int per parent reference, once it is written in ASCII digits and the model's rule passes it."""
+    if _shared_number(text) is None:
+        raise FieldError("E-SYNTAX", f"malformed parent reference {text!r}")
+    return _check_parent(_shared_number(text))
+
+
+def _check_sid(sid: str, seen: dict[str, SentenceTree | PredArg], filename: str, lineno: int) -> None:
     _check_sentence_id(sid)
     if sid in seen:
         _err("E-SENT-DUP", filename, lineno, f"duplicate sentence id {sid}")
@@ -219,15 +227,13 @@ def _blocks(text: str, filename: str, header: str, n_fields: int, closer: str | 
 
 
 def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
-    """Parse a .tb document into SentenceTrees, in file order."""
-    trees: list[SentenceTree] = []
-    seen_sids: set[str] = set()
+    """Parse a .tb document into SentenceTrees, in file order; a tree rule's fault is at its node's line."""
+    trees: dict[str, SentenceTree] = {}  # by sentence id, in file order
     shared_forms: dict[str, str] = {}  # one string per distinct form in this file
     for (sid,), start, end, block in _blocks(text, filename, "#BOS", 1, "#EOS"):
         lineno = start  # the line of the field a FieldError names
         try:
-            _check_sid(sid, seen_sids, filename, start)
-            seen_sids.add(sid)
+            _check_sid(sid, trees, filename, start)
             # one entry per node in column order (terminals, then nonterminals): node k is block[k]
             forms, nt_ids, labels, edges, parents = [], [], [], [], []
             for lineno, line in block:
@@ -235,65 +241,26 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
                 if len(fields) != 4:
                     _err("E-SYNTAX", filename, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
                 name, label, edge, parent_text = fields
-                parent = _shared_number(parent_text)
-                if parent is None:
-                    _err("E-SYNTAX", filename, lineno, f"malformed parent reference {parent_text!r}")
-                if parent != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
-                    _err("E-SYNTAX", filename, lineno, f"parent must be 0 or a nonterminal id, got {parent}")
-                label = _shared_label(label)
-                edge = None if edge == "--" else _shared_edge(edge)
+                parents.append(_shared_parent(parent_text))
+                labels.append(_shared_label(label))
+                edges.append(None if edge == "--" else _shared_edge(edge))
                 if name.startswith("#"):
                     node_id = _shared_number(name[1:])
                     if node_id is None:
                         _err("E-SYNTAX", filename, lineno, f"malformed nonterminal id {name!r}")
-                    if node_id < MIN_NONTERMINAL_ID:
-                        _err("E-NODE-ID-RANGE", filename, lineno,
-                             f"nonterminal id {node_id} below {MIN_NONTERMINAL_ID}")
-                    if node_id in nt_ids:
-                        _err("E-NODE-DUP", filename, lineno, f"duplicate nonterminal id {node_id}")
-                    if nt_ids and node_id < nt_ids[-1]:
-                        _err("E-SYNTAX", filename, lineno, "nonterminal ids must be ascending")
-                    nt_ids.append(node_id)
+                    nt_ids.append(_check_nt_id(node_id, nt_ids))
+                elif nt_ids:
+                    _err("E-SYNTAX", filename, lineno, "terminal line after nonterminal lines")
                 else:
-                    if nt_ids:
-                        _err("E-SYNTAX", filename, lineno, "terminal line after nonterminal lines")
                     form = shared_forms.get(name)
                     if form is None:
                         form = shared_forms[name] = _check_form(name)
                     forms.append(form)
-                labels.append(label)
-                edges.append(edge)
-                parents.append(parent)
-            if not forms:
-                _err("E-SYNTAX", filename, end, f"sentence {sid} has no terminals")
-            n = len(forms)
-            known = set(nt_ids)
-            for pos, parent in enumerate(parents):
-                if parent != VIRTUAL_ROOT and parent not in known:
-                    node = f"token {pos + 1}" if pos < n else f"node {nt_ids[pos - n]}"
-                    _err("E-PARENT-UNKNOWN", filename, block[pos][0],
-                         f"sentence {sid}: {node} attached to unknown node {parent}")
-            parent_of = dict(zip(nt_ids, parents[n:]))
-            cleared: set[int] = set()
-            for node_id in nt_ids:
-                path: set[int] = set()
-                while node_id != VIRTUAL_ROOT and node_id not in cleared:
-                    if node_id in path:
-                        _err("E-TREE-CYCLE", filename, block[n + nt_ids.index(node_id)][0],
-                             f"sentence {sid}: cycle through node {node_id}")
-                    path.add(node_id)
-                    node_id = parent_of[node_id]
-                cleared.update(path)
-            with_children = set(parents)
-            for pos, node_id in enumerate(nt_ids):
-                if node_id not in with_children:
-                    _err("E-NT-EMPTY", filename, block[n + pos][0],
-                         f"sentence {sid}: node {node_id} has no children")
-            columns = tuple(forms), tuple(labels), tuple(edges), tuple(parents), tuple(nt_ids)
-            trees.append(SentenceTree(sid, *columns))
+            lineno = end  # a tree rule's FieldError without a node: no terminals
+            trees[sid] = SentenceTree(sid, *map(tuple, (forms, labels, edges, parents, nt_ids)))
         except FieldError as exc:
-            _field_fault(exc, filename, lineno)
-    return trees
+            _field_fault(exc, filename, lineno if exc.node is None else block[exc.node][0])
+    return list(trees.values())
 
 
 def serialize_trees(trees) -> str:

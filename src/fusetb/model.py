@@ -10,8 +10,9 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from operator import lt
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .corpus import Manifest
@@ -64,11 +65,11 @@ class EmptyYieldError(ValueError):
 
 
 class FieldError(ValueError):
-    """A field value that the file grammar (README, "Corpus layout") rejects; code is the code a file gets."""
+    """A value the file grammar (README, "Corpus layout") rejects: the code a file gets, and its tree node."""
 
-    def __init__(self, code: str, message: str):
+    def __init__(self, code: str, message: str, node: int | None = None):
         super().__init__(message)
-        self.code = code
+        self.code, self.node = code, node
 
 
 @lru_cache(maxsize=4096)  # names come from small inventories; each is checked once
@@ -85,9 +86,11 @@ def _check_name(value: str, what: str) -> None:
 
 
 def _match(pattern: re.Pattern, code: str, message: str, value: str) -> str:
-    """value, when pattern matches it whole; else a FieldError whose message names it at {!r}."""
+    """value, when pattern matches it whole and it is in NFC, as parsed files are; else a FieldError naming it."""
     if pattern.fullmatch(value) is None:
         raise FieldError(code, message.format(value))
+    if not unicodedata.is_normalized("NFC", value):
+        raise FieldError(code, f"{value!r} is not in Unicode NFC")
     return value
 
 
@@ -102,8 +105,7 @@ _check_tag = lru_cache(4096)(partial(_match, _TAG_RE, "E-SYNTAX", "malformed tag
 
 
 def _check_form(form: str) -> str:
-    if _LABEL_RE.fullmatch(form) is None:
-        raise FieldError("E-SYNTAX", "empty token form or whitespace in form")
+    _match(_LABEL_RE, "E-SYNTAX", "empty token form or whitespace in form", form)
     if form.startswith(("#", "%%")):  # its line would be a nonterminal or a comment
         raise FieldError("E-SYNTAX", f"token form {form!r} starts with # or %%")
     return form
@@ -111,9 +113,26 @@ def _check_form(form: str) -> str:
 
 def _check_edge(edge: str | None) -> str | None:
     """An edge label, or None for an absent edge, which a file writes as --."""
-    if edge is not None and (edge == "--" or _LABEL_RE.fullmatch(edge) is None):
+    if edge == "--":
         raise FieldError("E-SYNTAX", "empty or malformed edge field")
-    return edge
+    return edge if edge is None else _match(_LABEL_RE, "E-SYNTAX", "empty or malformed edge field", edge)
+
+
+# The per-node tree rules: SentenceTree checks each node with them, and parse_trees each node at its line.
+def _check_parent(parent: int, node: int | None = None) -> int:
+    if parent != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
+        raise FieldError("E-SYNTAX", f"parent must be 0 or a nonterminal id, got {parent}", node)
+    return parent
+
+
+def _check_nt_id(node_id: int, before: Sequence[int], node: int | None = None) -> int:
+    if node_id < MIN_NONTERMINAL_ID:
+        raise FieldError("E-NODE-ID-RANGE", f"nonterminal id {node_id} below {MIN_NONTERMINAL_ID}", node)
+    if node_id in before:
+        raise FieldError("E-NODE-DUP", f"duplicate nonterminal id {node_id}", node)
+    if before and node_id < before[-1]:
+        raise FieldError("E-SYNTAX", "nonterminal ids must be ascending", node)
+    return node_id
 
 
 # The rules of a tree's forms, labels and edges, and the values that passed each, so that a
@@ -196,14 +215,11 @@ class ElemRef:
 class SentenceTree:
     """One sentence's constituent tree, stored as tuples of atoms.
 
-    `tokens` holds the word forms t1..tn. `labels`, `edges` and `parents`
-    hold one entry per node: the n terminals in surface order, then the
-    nonterminals in the order of `nt_ids`, which ascend. A label is a POS
-    for a terminal and a category for a nonterminal; an absent edge is
-    None; a parent is a nonterminal id or the virtual root (0). There is
-    no stored child index: yields are read from `parents` on each call.
-    The parsers guarantee structural invariants (unique ids, acyclicity,
-    no childless nonterminals) for loaded data.
+    `tokens` holds the word forms t1..tn. `labels`, `edges` and `parents` hold one entry per node:
+    the n terminals in surface order, then the nonterminals in the order of `nt_ids`, which ascend.
+    A label is a POS for a terminal and a category for a nonterminal; an absent edge is None; a
+    parent is a nonterminal id or the virtual root (0). There is no stored child index: yields are
+    read from `parents` on each call. The constructor checks the field rules, then the tree rules.
     """
 
     sentence_id: str
@@ -221,6 +237,33 @@ class SentenceTree:
                 if len(passed) > 4096:
                     passed.clear()
                 passed.update(map(check, values))
+        sid, n, nt_ids, parents = self.sentence_id, len(self.tokens), self.nt_ids, self.parents
+        if not len(self.labels) == len(self.edges) == len(parents) == n + len(nt_ids):
+            raise FieldError("E-SYNTAX", f"sentence {sid}: labels, edges and parents need one entry per node")
+        if not n:
+            raise FieldError("E-SYNTAX", f"sentence {sid} has no terminals")
+        known, with_children = {VIRTUAL_ROOT, *nt_ids}, set(parents)
+        if not (all(map(lt, (MIN_NONTERMINAL_ID - 1, *nt_ids), nt_ids)) and known.issuperset(parents)):
+            for k, parent in enumerate(parents):  # some node breaks a rule: find the first, in column order
+                _check_parent(parent, k)
+                if k >= n:
+                    _check_nt_id(nt_ids[k - n], nt_ids[: k - n], k)
+            k, parent = next((k, p) for k, p in enumerate(parents) if p not in known)  # so a parent is unknown
+            node = f"token {k + 1}" if k < n else f"node {nt_ids[k - n]}"
+            raise FieldError("E-PARENT-UNKNOWN", f"sentence {sid}: {node} attached to unknown node {parent}", k)
+        parent_of, cleared = dict(zip(nt_ids, parents[n:])), {VIRTUAL_ROOT}
+        for node_id in nt_ids:
+            path: set[int] = set()
+            while node_id not in cleared:
+                if node_id in path:
+                    k = n + nt_ids.index(node_id)
+                    raise FieldError("E-TREE-CYCLE", f"sentence {sid}: cycle through node {node_id}", k)
+                path.add(node_id)
+                node_id = parent_of[node_id]
+            cleared |= path
+        for k, node_id in enumerate(nt_ids, n):
+            if node_id not in with_children:
+                raise FieldError("E-NT-EMPTY", f"sentence {sid}: node {node_id} has no children", k)
 
     def has_node(self, ref: NodeRef) -> bool:
         if ref.kind == "t":

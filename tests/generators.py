@@ -9,7 +9,6 @@ construction, with retries.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 from fusetb.corpus import AlignEntry, LanguageEntry, Manifest, serialize_manifest
@@ -93,17 +92,26 @@ def node_refs(tree: SentenceTree) -> list[NodeRef]:
     return terminals + [NodeRef.parse(f"n{node_id}") for node_id in tree.nt_ids]
 
 
+def unchecked_tree(tree: SentenceTree, **columns) -> SentenceTree:
+    """tree with the given columns replaced, built around the constructor, which would reject
+    a tree that breaks a tree rule; for tests of what reads or writes such a tree."""
+    faulty = object.__new__(SentenceTree)
+    for name in SentenceTree.__slots__:
+        object.__setattr__(faulty, name, columns.get(name, getattr(tree, name)))
+    return faulty
+
+
 def plant_tree_fault(rng: random.Random, tree: SentenceTree) -> SentenceTree:
     """tree with one nonterminal's parent pointed at a nonterminal, at itself or at an
     unknown id, and sometimes a terminal's parent pointed at an unknown id; tree must
-    have a nonterminal."""
+    have a nonterminal. The result is built by unchecked_tree."""
     n = len(tree.tokens)
     parents = list(tree.parents)
     at = rng.randrange(len(tree.nt_ids))
     parents[n + at] = rng.choice((rng.choice(tree.nt_ids), tree.nt_ids[at], 9999))
     if rng.random() < 0.3:
         parents[rng.randrange(n)] = 9999
-    return dataclasses.replace(tree, parents=tuple(parents))
+    return unchecked_tree(tree, parents=tuple(parents))
 
 
 def random_binding(

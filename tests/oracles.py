@@ -56,6 +56,20 @@ def brute_dominates(tree: SentenceTree, ancestor, descendant) -> bool:
     return False
 
 
+def brute_is_tree(tree: SentenceTree) -> bool:
+    """True if every chain of parents reaches the virtual root through known nonterminals,
+    without a repeat, and every nonterminal is some node's parent."""
+    nt_parent = dict(zip(tree.nt_ids, tree.parents[len(tree.tokens):]))
+    for parent in tree.parents:
+        seen = set()
+        while parent != 0:
+            if parent in seen or parent not in nt_parent:
+                return False
+            seen.add(parent)
+            parent = nt_parent[parent]
+    return set(tree.nt_ids) <= set(tree.parents)
+
+
 def brute_resolve(tree: SentenceTree, binding: Binding) -> list[int]:
     included: set[int] = set()
     for ref in binding.included:

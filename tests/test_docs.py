@@ -46,6 +46,19 @@ def test_diagnostic_codes_match_readme():
     }
 
 
+def test_rule_owner_table_names_only_parsing_codes():
+    library = _README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in library.splitlines() if line.startswith("|") and not line.startswith("|---")]
+    header, *body = next(rows[i:] for i, row in enumerate(rows) if "code in a file" in row)
+    column = header.index("code in a file")
+    named = set(_README_CODE_RE.findall(" ".join(row[column] for row in body)))
+    diagnostics = _README.split("\n## Diagnostic codes\n", 1)[1]
+    parsing = set(_README_CODE_RE.findall(diagnostics.split("\nValidation reports ", 1)[0]))
+    assert {"E-TREE-CYCLE", "E-NT-EMPTY", "E-CASE"} <= named
+    assert named - parsing == set(), "a rule-owner code a file gets is not in the Parsing table"
+
+
 def _command_line_examples() -> list[str]:
     section = _README.split("\n## Command line\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]

@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 from fusetb.corpus import load_corpus
-from fusetb.formats import ParseError, parse_alignments, parse_predarg, parse_trees
+from fusetb.formats import ParseError, parse_alignments, parse_predarg, parse_trees, serialize_trees
 from fusetb.model import (
     Alignment,
     Argument,
@@ -29,7 +29,7 @@ from fusetb.model import (
 )
 from fusetb.validate import validate_corpus
 
-from .generators import random_corpus, write_corpus_files
+from .generators import random_corpus, random_tree, unchecked_tree, write_corpus_files
 
 SEEDS = range(6)
 
@@ -65,12 +65,53 @@ def _edit_annotation(wanted, edit):
     return apply
 
 
+def _change_tree(wanted, change):
+    """Replace columns of the first tree for which wanted holds: change(tree) gives them."""
+    return _edit_annotation(lambda ann: wanted(ann.tree),
+                            lambda ann: {"tree": dataclasses.replace(ann.tree, **change(ann.tree))})
+
+
 def _edit_tree(**columns):
-    """Set the first entry of each named tree column of the first annotation."""
-    def edit(ann):
-        changed = {name: (value, *getattr(ann.tree, name)[1:]) for name, value in columns.items()}
-        return {"tree": dataclasses.replace(ann.tree, **changed)}
-    return _edit_annotation(lambda ann: True, edit)
+    """Set the first entry of each named tree column of the first tree."""
+    return _change_tree(lambda tree: True, lambda tree: {
+        name: (value, *getattr(tree, name)[1:]) for name, value in columns.items()})
+
+
+# Tree faults a .tb file can hold: each planter(tree, rng) gives the changed columns.
+def _with_parent(tree, rng, parent):
+    parents = list(tree.parents)
+    parents[rng.randrange(len(parents))] = parent
+    return {"parents": tuple(parents)}
+
+
+def _cycle(tree, rng):
+    """A nonterminal made its own parent, or its parent nonterminal made its child."""
+    n = len(tree.tokens)
+    parents = list(tree.parents)
+    at = rng.randrange(len(tree.nt_ids))
+    above = parents[n + at]
+    if above and rng.random() < 0.5:
+        parents[n + tree.nt_ids.index(above)] = tree.nt_ids[at]
+    else:
+        parents[n + at] = tree.nt_ids[at]
+    return {"parents": tuple(parents)}
+
+
+def _add_childless(tree, rng):
+    node_id = rng.choice(sorted(set(range(500, 540)) - set(tree.nt_ids)))
+    at = len(tree.tokens) + sum(i < node_id for i in tree.nt_ids)
+    return {"nt_ids": tuple(sorted((*tree.nt_ids, node_id))),
+            "labels": (*tree.labels[:at], "NP", *tree.labels[at:]),
+            "edges": (*tree.edges[:at], None, *tree.edges[at:]),
+            "parents": (*tree.parents[:at], rng.choice((0, *tree.nt_ids)), *tree.parents[at:])}
+
+
+def _reid(tree, rng, new_id):
+    """One nonterminal's id set to new_id(ids, index); its children keep the old id."""
+    ids = list(tree.nt_ids)
+    at = rng.randrange(1, len(ids)) if len(ids) > 1 else 0
+    ids[at] = new_id(ids, at)
+    return {"nt_ids": tuple(ids)}
 
 
 def _map_alignments(corpus, change):
@@ -210,6 +251,15 @@ EDITS = {
     "registry tag 'Bad Tag'": lambda corpus: dataclasses.replace(corpus, tag_registry=TagRegistry(
         corpus.tag_registry.binding_tags | {"Bad Tag"}, corpus.tag_registry.alignment_tags)),
     "pair set languages swapped": _swap_pair_set_languages,
+    # tree rules, and forms in NFC
+    "parent cycle": _change_tree(lambda tree: tree.nt_ids, lambda tree: _cycle(tree, random.Random(0))),
+    "terminal parent 9999": _edit_tree(parents=9999),
+    "childless nonterminal": _change_tree(lambda tree: True, lambda tree: _add_childless(tree, random.Random(0))),
+    "nt_ids reversed": _change_tree(lambda tree: len(tree.nt_ids) > 1, lambda tree: {"nt_ids": tree.nt_ids[::-1]}),
+    "nonterminal id 400": _change_tree(lambda tree: tree.nt_ids, lambda tree: {"nt_ids": (400, *tree.nt_ids[1:])}),
+    "terminal parent 3": _edit_tree(parents=3),
+    "labels one short": _change_tree(lambda tree: True, lambda tree: {"labels": tree.labels[:-1]}),
+    "form e + U+0301": _edit_tree(tokens="e\u0301"),
 }
 
 
@@ -279,3 +329,35 @@ def test_a_field_error_is_reported_at_the_line_of_its_field(parse, text, line):
     with pytest.raises(ParseError) as excinfo:
         parse(text)
     assert excinfo.value.diagnostic.line == line
+
+
+# (name, the fewest nonterminals it needs, planter(tree, rng) -> changed columns)
+_TREE_FAULTS = (
+    ("cycle", 1, _cycle),
+    ("unknown parent", 0, lambda tree, rng: _with_parent(tree, rng, rng.randint(540, 600))),
+    ("childless nonterminal", 0, _add_childless),
+    ("id below 500", 1, lambda tree, rng: _reid(tree, rng, lambda ids, at: rng.randint(0, 499))),
+    ("duplicate id", 2, lambda tree, rng: _reid(tree, rng, lambda ids, at: ids[at - 1])),
+    ("descending id", 2, lambda tree, rng: _reid(tree, rng, lambda ids, at: ids[at - 1] - 1)),
+    ("parent 3", 0, lambda tree, rng: _with_parent(tree, rng, 3)),
+)
+
+
+def test_parse_trees_and_sentence_tree_report_a_tree_fault_alike():
+    rng = random.Random(23)
+    codes, trees = set(), 0
+    while trees < 560:
+        tree = random_tree(rng, "s1")
+        name, needs, plant = _TREE_FAULTS[trees % len(_TREE_FAULTS)]
+        if len(tree.nt_ids) < needs:
+            continue
+        faulty = unchecked_tree(tree, **plant(tree, rng))
+        with pytest.raises(FieldError) as built:
+            SentenceTree(*(getattr(faulty, column) for column in SentenceTree.__slots__))
+        with pytest.raises(ParseError) as parsed:
+            parse_trees(serialize_trees([faulty]))
+        fault, diag = built.value, parsed.value.diagnostic
+        assert (diag.code, diag.message, diag.line) == (fault.code, str(fault), fault.node + 2), name
+        codes.add(fault.code)
+        trees += 1
+    assert codes == {"E-TREE-CYCLE", "E-PARENT-UNKNOWN", "E-NT-EMPTY", "E-NODE-ID-RANGE", "E-NODE-DUP", "E-SYNTAX"}

@@ -23,12 +23,17 @@ from .conftest import FIXTURES
 from .generators import random_annotation, random_corpus, random_tree
 
 
-def parse_error_at(fn, *args, **kwargs) -> tuple[str, int]:
+def parse_error(fn, *args, **kwargs) -> tuple[str, int, str]:
+    """(code, line, message) of the ParseError that fn raises."""
     with pytest.raises(ParseError) as excinfo:
         fn(*args, **kwargs)
     diag = excinfo.value.diagnostic
     assert diag.file is not None and diag.line is not None
-    return diag.code, diag.line
+    return diag.code, diag.line, diag.message
+
+
+def parse_error_at(fn, *args, **kwargs) -> tuple[str, int]:
+    return parse_error(fn, *args, **kwargs)[:2]
 
 
 def parse_error_code(fn, *args, **kwargs) -> str:
@@ -57,7 +62,7 @@ def test_parse_trees_empty_document():
 
 def test_node_id_below_range():
     text = "#BOS s1\na\tNN\t--\t0\n#499\tNP\tSB\t0\n#EOS s1\n"
-    assert parse_error_code(parse_trees, text) == "E-NODE-ID-RANGE"
+    assert parse_error(parse_trees, text) == ("E-NODE-ID-RANGE", 3, "nonterminal id 499 below 500")
 
 
 def test_duplicate_sentence_id():
@@ -67,7 +72,8 @@ def test_duplicate_sentence_id():
 
 def test_unknown_parent():
     text = "#BOS s1\na\tNN\t--\t510\n#EOS s1\n"
-    assert parse_error_code(parse_trees, text) == "E-PARENT-UNKNOWN"
+    assert parse_error(parse_trees, text) == (
+        "E-PARENT-UNKNOWN", 2, "sentence s1: token 1 attached to unknown node 510")
 
 
 def test_cycle_detected():
@@ -75,12 +81,12 @@ def test_cycle_detected():
         "#BOS s1\na\tNN\t--\t501\n"
         "#501\tNP\t--\t502\n#502\tNP\t--\t501\n#EOS s1\n"
     )
-    assert parse_error_code(parse_trees, text) == "E-TREE-CYCLE"
+    assert parse_error(parse_trees, text) == ("E-TREE-CYCLE", 3, "sentence s1: cycle through node 501")
 
 
 def test_childless_nonterminal():
     text = "#BOS s1\na\tNN\t--\t0\n#501\tNP\t--\t0\n#EOS s1\n"
-    assert parse_error_code(parse_trees, text) == "E-NT-EMPTY"
+    assert parse_error(parse_trees, text) == ("E-NT-EMPTY", 3, "sentence s1: node 501 has no children")
 
 
 def test_duplicate_node_id():
@@ -88,7 +94,7 @@ def test_duplicate_node_id():
         "#BOS s1\na\tNN\t--\t501\nb\tNN\t--\t501\n"
         "#501\tNP\t--\t0\n#501\tPP\t--\t0\n#EOS s1\n"
     )
-    assert parse_error_code(parse_trees, text) == "E-NODE-DUP"
+    assert parse_error(parse_trees, text) == ("E-NODE-DUP", 5, "duplicate nonterminal id 501")
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from fusetb.model import (
     Binding,
     ElemRef,
     EmptyYieldError,
+    FieldError,
     MonolingualAnnotation,
     NodeRef,
     PairSet,
@@ -25,7 +26,7 @@ from fusetb.model import (
 from fusetb.validate import validate_monolingual
 
 from .generators import node_refs, plant_tree_fault, random_annotation, random_binding, random_tree
-from .oracles import brute_dominates, brute_resolve, brute_yield
+from .oracles import brute_dominates, brute_is_tree, brute_resolve, brute_yield
 
 
 def make_tree(n_tokens, nts):
@@ -84,6 +85,12 @@ def test_dominance_on_trees_with_a_cycle_or_an_unknown_parent():
             continue
         ann = random_annotation(rng, tree)
         faulty = plant_tree_fault(rng, tree)
+        columns = [getattr(faulty, name) for name in SentenceTree.__slots__]
+        if brute_is_tree(faulty):  # the planted parent may still make a tree
+            assert SentenceTree(*columns) == faulty
+        else:
+            with pytest.raises(FieldError):
+                SentenceTree(*columns)
         refs = node_refs(faulty)
         for a in refs:
             assert node_yield(faulty, a) == brute_yield(faulty, a)
