@@ -2,8 +2,8 @@
 
 README.md ("Corpus layout") is the contract for the three formats and their framing.
 Parsing is fail-fast: the first ERROR aborts the file with a ParseError carrying a
-Diagnostic (file + line). Serializers emit the canonical form, so parse -> serialize is
-byte-identity on canonical files and serialize -> parse is structural identity on valid data.
+Diagnostic (file + line). Serializers write the order they are given; a loaded corpus holds the
+canonical order, so a canonical file exports as read, and serialize -> parse is structural identity.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .model import (
     _check_pred_id,
     _check_sentence_id,
     _check_tag,
-    sort_elements,
+    _declared_once,
     split_sentence_key,
 )
 
@@ -287,14 +287,11 @@ def serialize_trees(trees) -> str:
 
 @dataclass(frozen=True)
 class PredArg:
-    """One sentence's parsed predicate-argument content."""
+    """One sentence's parsed predicate-argument block, in file order."""
 
     predicates: tuple[Predicate, ...] = ()
     arguments: tuple[Argument, ...] = ()
     bindings: tuple[Binding, ...] = ()
-
-    def __post_init__(self):
-        sort_elements(self)
 
 
 def _split_kv(fields: list[str], allowed: tuple[str, ...], filename: str, lineno: int) -> dict:
@@ -326,7 +323,7 @@ def _shared_tag_set(value: str) -> frozenset[str]:
 def parse_predarg(
     text: str, registry: TagRegistry | None = None, filename: str = "<string>"
 ) -> dict[str, PredArg]:
-    """Parse a .pa document into sentence-id -> PredArg, preserving block order.
+    """Parse a .pa document into sentence-id -> PredArg, in block order and each block in line order.
 
     Tags are validated against the registry; node references are checked
     syntactically only (resolution against the tree is the validator's job).
@@ -337,7 +334,7 @@ def parse_predarg(
         lineno = start  # the line of the field a FieldError names
         try:
             _check_sid(sid, result, filename, start)
-            preds, args, bindings, pred_ids = [], [], [], set()
+            preds, args, bindings = {}, {}, []  # preds and args by the model's declared-once key
             for lineno, line in block:
                 fields = line.split()
                 if len(fields) < 2 or fields[0] not in ("PRED", "ARG"):
@@ -351,22 +348,18 @@ def parse_predarg(
                     for required in ("lemma", "class", "group"):
                         if required not in kv:
                             _err("E-SYNTAX", filename, lineno, f"PRED line missing {required}=")
-                    if pid in pred_ids:
-                        _err("E-PRED-DUP", filename, lineno, f"duplicate predicate id {pid}")
-                    pred_ids.add(pid)
-                    preds.append(Predicate(pid, sys.intern(kv["lemma"]), sys.intern(kv["class"]),
-                                           sys.intern(kv["group"])))
+                    key = _declared_once(preds, pid)  # before the Predicate checks its fields
+                    preds[key] = Predicate(pid, sys.intern(kv["lemma"]), sys.intern(kv["class"]),
+                                           sys.intern(kv["group"]))
                     target = ElemRef.of(pid)
                 else:
                     kv = _split_kv(fields[2:], ("role", "nodes", "excl", "tags"), filename, lineno)
                     if "role" not in kv:
                         _err("E-SYNTAX", filename, lineno, "ARG line missing role=")
-                    if pid not in pred_ids:
+                    if pid not in preds:
                         _err("E-ORDER", filename, lineno, f"ARG before PRED line for {pid}")
                     arg = Argument(pid, sys.intern(kv["role"]))
-                    if arg in args:
-                        _err("E-ROLE-DUP", filename, lineno, f"duplicate role {arg.role} for predicate {pid}")
-                    args.append(arg)
+                    args[_declared_once(args, pid, arg.role)] = arg
                     target = ElemRef.of(pid, arg.role)
                 if "excl" in kv and "nodes" not in kv:
                     _err("E-SYNTAX", filename, lineno, "excl= requires nodes=")
@@ -384,7 +377,7 @@ def parse_predarg(
                     _err("E-SYNTAX", filename, lineno, "tags= requires nodes=")
         except FieldError as exc:
             _field_fault(exc, filename, lineno)
-        result[sid] = PredArg(tuple(preds), tuple(args), tuple(bindings))
+        result[sid] = PredArg(tuple(preds.values()), tuple(args.values()), tuple(bindings))
     return result
 
 
@@ -407,12 +400,10 @@ def _binding_suffix(binding: Binding | None) -> str:
 
 
 def serialize_predarg(annotations) -> str:
-    """Canonical .pa text from an ordered mapping of sentence id -> PredArg
-    or MonolingualAnnotation.
+    """.pa text from an ordered mapping of sentence id -> PredArg or MonolingualAnnotation.
 
-    Blocks follow the mapping order; within a block, predicates sort by id,
-    each followed by its arguments sorted by role. Each block is joined into
-    one string before the next is built, as in serialize_trees.
+    Blocks, and the predicates of a block, each followed by its arguments, are written in the
+    order given. Each block is joined into one string before the next is built.
     """
     blocks: list[str] = []
     for sid, pa in annotations.items():

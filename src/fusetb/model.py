@@ -10,7 +10,8 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from operator import lt
+from itertools import repeat, starmap
+from operator import attrgetter, lt
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -230,6 +231,8 @@ class SentenceTree:
     nt_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for name in ("tokens", "labels", "edges", "parents", "nt_ids"):  # tuples, whatever they were given as
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         _check_sentence_id(self.sentence_id)
         columns = (self.tokens, self.labels, self.edges)
         if not all(map(set.issuperset, _PASSED, columns)):
@@ -376,11 +379,13 @@ def resolve_yield(tree: SentenceTree, binding: Binding) -> list[int]:
     return sorted(covered)
 
 
-def sort_elements(obj) -> None:
-    """Put a frozen object's predicates, arguments and bindings in canonical order."""
-    object.__setattr__(obj, "predicates", tuple(sorted(obj.predicates, key=lambda p: p.pred_id)))
-    object.__setattr__(obj, "arguments", tuple(sorted(obj.arguments, key=lambda a: (a.pred_id, a.role))))
-    object.__setattr__(obj, "bindings", tuple(sorted(obj.bindings, key=lambda b: b.target.sort_key)))
+def _declared_once(table: Mapping, pred_id: str, role: str | None = None) -> str | tuple[str, str]:
+    """Table key of a predicate (role None) or argument, declared once: an id per sentence, a role per predicate."""
+    key = pred_id if role is None else _shared_key(pred_id, role)
+    if key in table:
+        raise (FieldError("E-PRED-DUP", f"duplicate predicate id {pred_id}") if role is None else
+               FieldError("E-ROLE-DUP", f"duplicate role {role} for predicate {pred_id}"))
+    return key
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,13 +399,18 @@ class MonolingualAnnotation:
     _preds: dict = field(init=False, repr=False, compare=False)
     _args: dict = field(init=False, repr=False, compare=False)
     _bindings: dict = field(init=False, repr=False, compare=False)
-    _refs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sort_elements(self)
-        preds, args = self.predicates, self.arguments
-        object.__setattr__(self, "_preds", {p.pred_id: p for p in preds})
-        object.__setattr__(self, "_args", {_shared_key(a.pred_id, a.role): a for a in args})
+        preds, args = {}, {}  # the element tables, in canonical order
+        for p in sorted(self.predicates, key=attrgetter("pred_id")):
+            preds[_declared_once(preds, p.pred_id)] = p
+        for a in sorted(self.arguments, key=attrgetter("pred_id", "role")):
+            args[_declared_once(args, a.pred_id, a.role)] = a
+        object.__setattr__(self, "predicates", tuple(preds.values()))
+        object.__setattr__(self, "arguments", tuple(args.values()))
+        object.__setattr__(self, "bindings", tuple(sorted(self.bindings, key=attrgetter("target.sort_key"))))
+        object.__setattr__(self, "_preds", preds)
+        object.__setattr__(self, "_args", args)
         # keyed by (pred_id, role), which hashes in C, like _args; an element's one
         # binding is stored bare, and only duplicates (invalid data) as a tuple
         by_target: dict[tuple[str, str | None], Binding | tuple[Binding, ...]] = {}
@@ -412,8 +422,6 @@ class MonolingualAnnotation:
             else:
                 by_target[key] = (*found, b) if isinstance(found, tuple) else (found, b)
         object.__setattr__(self, "_bindings", by_target)
-        keys = [(p.pred_id, None) for p in preds] + [(a.pred_id, a.role) for a in args]
-        object.__setattr__(self, "_refs", tuple(_shared_elem_ref(*key) for key in keys))
 
     @property
     def sentence_id(self) -> str:
@@ -439,7 +447,7 @@ class MonolingualAnnotation:
 
     def element_refs(self) -> tuple[ElemRef, ...]:
         """Every declared element: predicates first, then arguments, each sorted."""
-        return self._refs
+        return (*map(_shared_elem_ref, self._preds, repeat(None)), *starmap(_shared_elem_ref, self._args))
 
     def bindings_for(self, ref: ElemRef) -> tuple[Binding, ...]:
         found = self._bindings.get((ref.pred_id, ref.role), ())
@@ -493,8 +501,7 @@ class SentencePairAlignment:
     def __post_init__(self):
         split_sentence_key(self.left_sentence)
         split_sentence_key(self.right_sentence)
-        ordered = tuple(sorted(self.alignments, key=lambda a: a.sort_key))
-        object.__setattr__(self, "alignments", ordered)
+        object.__setattr__(self, "alignments", tuple(sorted(self.alignments, key=attrgetter("sort_key"))))
 
 
 @dataclass(frozen=True)
@@ -508,10 +515,8 @@ class PairSet:
     def __post_init__(self):
         _check_language(self.left_lang)
         _check_language(self.right_lang)
-        ordered = tuple(
-            sorted(self.pairs, key=lambda p: (p.left_sentence, p.right_sentence))
-        )
-        object.__setattr__(self, "pairs", ordered)
+        pairs = sorted(self.pairs, key=attrgetter("left_sentence", "right_sentence"))
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     @cached_property
     def aligned(self) -> Mapping[str, frozenset[ElemRef]]:
@@ -563,10 +568,7 @@ class ParallelCorpus:
     def __post_init__(self):
         for lang in self.treebanks:
             _check_language(lang)
-        banks = {
-            lang: tuple(sorted(anns, key=lambda a: a.sentence_id))
-            for lang, anns in self.treebanks.items()
-        }
+        banks = {lang: tuple(sorted(anns, key=attrgetter("sentence_id"))) for lang, anns in self.treebanks.items()}
         object.__setattr__(self, "treebanks", banks)
         object.__setattr__(self, "pair_sets", tuple(self.pair_sets))
         index = {}

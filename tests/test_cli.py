@@ -13,6 +13,7 @@ import pytest
 import fusetb.cli
 from fusetb.cli import main
 from fusetb.corpus import load_corpus, parse_manifest, parse_tag_registry
+from fusetb.formats import parse_predarg
 from fusetb.model import TagRegistry
 
 from .conftest import FIXTURES, FIXTURE_FILES, REPO_ROOT, mutate_file
@@ -235,6 +236,47 @@ def test_export_refuses_files_sharing_a_name(corpus_copy, tmp_path, capsys):
     for lang in ("en", "de"):
         assert str(corpus_copy / lang / "t.tb") in lines[0]
     assert not out_dir.exists()
+
+
+def _reordered_pa(text: str) -> str:
+    """A .pa text with each block's PRED groups in reverse order and each group's ARG lines reversed."""
+    blocks = []
+    for block in text.split("#SENT ")[1:]:
+        header, *lines = block.splitlines()
+        groups: list[list[str]] = []
+        for line in lines:
+            if line.startswith("PRED "):
+                groups.append([line])
+            else:
+                groups[-1].append(line)
+        reordered = [line for pred, *args in groups[::-1] for line in (pred, *args[::-1])]
+        blocks.append("".join(f"{line}\n" for line in (f"#SENT {header}", *reordered)))
+    return "".join(blocks)
+
+
+def test_a_reordered_pa_file_loads_equal_and_exports_canonical(corpus_copy, tmp_path, capsys):
+    for lang in ("en", "de"):
+        path = corpus_copy / f"{lang}.pa"
+        text = path.read_text(encoding="utf-8")
+        reordered = _reordered_pa(text)
+        assert reordered != text and sorted(reordered.splitlines()) == sorted(text.splitlines())
+        path.write_text(reordered, encoding="utf-8")
+        # parse_predarg keeps each block in file order
+        for block in reordered.split("#SENT ")[1:]:
+            sid, *lines = block.splitlines()
+            pa = parse_predarg(f"#SENT {block}")[sid]
+            fields = [line.split() for line in lines]
+            assert [p.pred_id for p in pa.predicates] == [f[1] for f in fields if f[0] == "PRED"]
+            assert [(a.pred_id, f"role={a.role}") for a in pa.arguments] == [
+                (f[1], f[2]) for f in fields if f[0] == "ARG"]
+            assert [str(b.target) for b in pa.bindings] == [
+                f[1] if f[0] == "PRED" else f"{f[1]}.{f[2][5:]}" for f in fields]
+    assert load_corpus(str(corpus_copy / "corpus.manifest"))[0] == load_corpus(MANIFEST)[0]
+    out_dir = tmp_path / "exported"
+    assert main(["export", str(corpus_copy / "corpus.manifest"), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr() == ("", "")
+    for name in FIXTURE_FILES:
+        assert (out_dir / name).read_bytes() == (FIXTURES / name).read_bytes()
 
 
 @pytest.mark.parametrize("change", ["delete", "spoil"])

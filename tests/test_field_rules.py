@@ -18,6 +18,7 @@ from fusetb.model import (
     Binding,
     ElemRef,
     FieldError,
+    MonolingualAnnotation,
     NodeRef,
     PairSet,
     ParallelCorpus,
@@ -260,6 +261,13 @@ EDITS = {
     "terminal parent 3": _edit_tree(parents=3),
     "labels one short": _change_tree(lambda tree: True, lambda tree: {"labels": tree.labels[:-1]}),
     "form e + U+0301": _edit_tree(tokens="e\u0301"),
+    # elements declared once, and tree columns given as lists
+    "predicate declared twice": _edit_annotation(lambda ann: ann.predicates, lambda ann: {
+        "predicates": (*ann.predicates, ann.predicates[0])}),
+    "argument declared twice": _edit_annotation(lambda ann: ann.arguments, lambda ann: {
+        "arguments": (*ann.arguments, ann.arguments[0])}),
+    "tree columns as lists": _change_tree(lambda tree: True, lambda tree: {
+        name: list(getattr(tree, name)) for name in ("tokens", "labels", "edges", "parents", "nt_ids")}),
 }
 
 
@@ -287,6 +295,8 @@ def test_an_edited_corpus_is_rejected_or_invalid_or_writes_back(kind, tmp_path):
 
 # Each constructor's FieldError: the code and message the parsers give for the field.
 _REF = ElemRef("p1")
+_TREE = SentenceTree("s1", ("a",), ("NN",), (None,), (0,))
+_PRED = Predicate("p1", "GIVE", "v", "GIVE")
 
 
 @pytest.mark.parametrize("build,code,message", [
@@ -307,6 +317,9 @@ _REF = ElemRef("p1")
     (lambda: SentenceTree("s1", ("#a",), ("NN",), (None,), (0,)), "E-SYNTAX", "token form '#a' starts with # or %%"),
     (lambda: SentenceTree("s1", ("a",), ("",), (None,), (0,)), "E-SYNTAX", "empty or malformed label field"),
     (lambda: SentenceTree("s1", ("a",), ("NN",), ("--",), (0,)), "E-SYNTAX", "empty or malformed edge field"),
+    (lambda: MonolingualAnnotation(_TREE, (_PRED, _PRED)), "E-PRED-DUP", "duplicate predicate id p1"),
+    (lambda: MonolingualAnnotation(_TREE, (_PRED,), (Argument("p1", "A"),) * 2), "E-ROLE-DUP",
+     "duplicate role A for predicate p1"),
     (lambda: SentencePairAlignment("en:s1", "de:s 1"), "E-SYNTAX", "malformed sentence reference 'de:s 1'"),
     (lambda: split_sentence_key("en-s1"), "E-SYNTAX", "malformed sentence reference 'en-s1'"),
     (lambda: TagRegistry(frozenset({"pv", "Bad Tag"})), "E-SYNTAX", "malformed tag 'Bad Tag'"),

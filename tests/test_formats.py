@@ -291,13 +291,14 @@ def test_pa_line_errors(line, code):
 
 def test_pa_duplicate_pred_and_role():
     pred = "PRED p1 lemma=X class=v group=X nodes=t1\n"
-    assert (
-        parse_error_code(parse_predarg, "#SENT s1\n" + pred + pred) == "E-PRED-DUP"
-    )
+    duplicate = ("E-PRED-DUP", 3, "duplicate predicate id p1")
+    assert parse_error(parse_predarg, "#SENT s1\n" + pred + pred) == duplicate
+    # a repeated id is found before the line's fields are checked
+    assert parse_error(parse_predarg, "#SENT s1\n" + pred + "PRED p1 lemma=X class=x group=X\n") == duplicate
     arg = "ARG p1 role=AGENT nodes=t2\n"
-    assert (
-        parse_error_code(parse_predarg, "#SENT s1\n" + pred + arg + arg) == "E-ROLE-DUP"
-    )
+    assert parse_error(parse_predarg, "#SENT s1\n" + pred + arg + arg) == (
+        "E-ROLE-DUP", 4, "duplicate role AGENT for predicate p1")
+    assert parse_error(parse_predarg, "#SENT s1\n" + arg + pred) == ("E-ORDER", 2, "ARG before PRED line for p1")
 
 
 def test_pa_missing_nodes_yields_no_binding():
