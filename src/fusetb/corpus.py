@@ -238,15 +238,8 @@ def _load_corpus(
             diags.append(exc.diagnostic)
             continue
         known = {tree.sentence_id for tree in trees}
-        for sid in predarg:
-            if sid not in known:
-                diags.append(
-                    Diagnostic.error(
-                        "E-SENT-UNKNOWN",
-                        str(pa_path),
-                        f"sentence {sid} has annotations but no tree",
-                    )
-                )
+        diags += [Diagnostic.error("E-SENT-UNKNOWN", str(pa_path), f"sentence {sid} has annotations but no tree")
+                  for sid in predarg if sid not in known]
         annotations = []
         empty = PredArg()  # the default of a tree with no annotations, built once
         for tree in trees:
@@ -274,11 +267,8 @@ def _load_corpus(
     if any(d.is_error for d in diags):
         return None, _sorted_unique(diags)
     corpus = ParallelCorpus(treebanks, tuple(pair_sets), registry, manifest=manifest)
-    corpus, vdiags = validate_corpus(corpus, lang_files, pair_files)
-    diags = _sorted_unique(diags + vdiags)
-    if any(d.is_error for d in diags):
-        return None, diags
-    return corpus, diags
+    corpus, diags = validate_corpus(corpus, lang_files, pair_files)
+    return corpus if corpus.validated else None, diags
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ from .model import (
     _check_sentence_id,
     _check_tag,
     _declared_once,
+    _owner_declared,
+    _pair_once,
+    _sentence_once,
     split_sentence_key,
 )
 
@@ -154,12 +157,6 @@ def _shared_parent(text: str) -> int:
     return _check_parent(_shared_number(text))
 
 
-def _check_sid(sid: str, seen: dict[str, SentenceTree | PredArg], filename: str, lineno: int) -> None:
-    _check_sentence_id(sid)
-    if sid in seen:
-        _err("E-SENT-DUP", filename, lineno, f"duplicate sentence id {sid}")
-
-
 def _fail_after(lines, diagnostic: Diagnostic):
     """A cut-short block's data lines, then the framing fault that cut it short."""
     yield from lines
@@ -233,7 +230,7 @@ def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
     for (sid,), start, end, block in _blocks(text, filename, "#BOS", 1, "#EOS"):
         lineno = start  # the line of the field a FieldError names
         try:
-            _check_sid(sid, trees, filename, start)
+            _sentence_once(trees, _check_sentence_id(sid))
             # one entry per node in column order (terminals, then nonterminals): node k is block[k]
             forms, nt_ids, labels, edges, parents = [], [], [], [], []
             for lineno, line in block:
@@ -333,7 +330,7 @@ def parse_predarg(
     for (sid,), start, _, block in _blocks(text, filename, "#SENT", 1):
         lineno = start  # the line of the field a FieldError names
         try:
-            _check_sid(sid, result, filename, start)
+            _sentence_once(result, _check_sentence_id(sid))
             preds, args, bindings = {}, {}, []  # preds and args by the model's declared-once key
             for lineno, line in block:
                 fields = line.split()
@@ -356,8 +353,7 @@ def parse_predarg(
                     kv = _split_kv(fields[2:], ("role", "nodes", "excl", "tags"), filename, lineno)
                     if "role" not in kv:
                         _err("E-SYNTAX", filename, lineno, "ARG line missing role=")
-                    if pid not in preds:
-                        _err("E-ORDER", filename, lineno, f"ARG before PRED line for {pid}")
+                    _owner_declared(preds, pid)
                     arg = Argument(pid, sys.intern(kv["role"]))
                     args[_declared_once(args, pid, arg.role)] = arg
                     target = ElemRef.of(pid, arg.role)
@@ -447,9 +443,7 @@ def parse_alignments(
         try:
             split_sentence_key(left)
             split_sentence_key(right)
-            if (left, right) in seen:
-                _err("E-PAIR-DUP", filename, start, f"duplicate pair {left} {right}")
-            seen.add((left, right))
+            seen.add(_pair_once(seen, left, right))
             alignments: list[Alignment] = []
             for lineno, line in block:
                 fields = line.split()

@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import repeat, starmap
 from operator import attrgetter, lt
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .corpus import Manifest
@@ -379,13 +379,34 @@ def resolve_yield(tree: SentenceTree, binding: Binding) -> list[int]:
     return sorted(covered)
 
 
+# The declared-once rules: the constructors below check their collections with them, and the
+# parsers each block or line against the ones before it: a sentence id once per treebank, a
+# sentence pair once per pair set, a predicate id once per sentence and a role once per predicate.
+def _sentence_once(table: Container[str], sid: str) -> str:
+    if sid in table:
+        raise FieldError("E-SENT-DUP", f"duplicate sentence id {sid}")
+    return sid
+
+
+def _pair_once(table: Container[tuple[str, str]], left: str, right: str) -> tuple[str, str]:
+    if (left, right) in table:
+        raise FieldError("E-PAIR-DUP", f"duplicate pair {left} {right}")
+    return left, right
+
+
 def _declared_once(table: Mapping, pred_id: str, role: str | None = None) -> str | tuple[str, str]:
-    """Table key of a predicate (role None) or argument, declared once: an id per sentence, a role per predicate."""
+    """Table key of a predicate (role None) or argument, once the rule passes it."""
     key = pred_id if role is None else _shared_key(pred_id, role)
     if key in table:
         raise (FieldError("E-PRED-DUP", f"duplicate predicate id {pred_id}") if role is None else
                FieldError("E-ROLE-DUP", f"duplicate role {role} for predicate {pred_id}"))
     return key
+
+
+def _owner_declared(preds: Mapping[str, Predicate], pred_id: str) -> None:
+    """An argument's predicate is declared: in a file, on a PRED line before the ARG line."""
+    if pred_id not in preds:
+        raise FieldError("E-ORDER", f"ARG before PRED line for {pred_id}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -405,22 +426,24 @@ class MonolingualAnnotation:
         for p in sorted(self.predicates, key=attrgetter("pred_id")):
             preds[_declared_once(preds, p.pred_id)] = p
         for a in sorted(self.arguments, key=attrgetter("pred_id", "role")):
+            _owner_declared(preds, a.pred_id)
             args[_declared_once(args, a.pred_id, a.role)] = a
         object.__setattr__(self, "predicates", tuple(preds.values()))
         object.__setattr__(self, "arguments", tuple(args.values()))
         object.__setattr__(self, "bindings", tuple(sorted(self.bindings, key=attrgetter("target.sort_key"))))
         object.__setattr__(self, "_preds", preds)
         object.__setattr__(self, "_args", args)
-        # keyed by (pred_id, role), which hashes in C, like _args; an element's one
-        # binding is stored bare, and only duplicates (invalid data) as a tuple
-        by_target: dict[tuple[str, str | None], Binding | tuple[Binding, ...]] = {}
-        for b in self.bindings:
+        by_target: dict[tuple[str, str | None], Binding] = {}  # keyed by (pred_id, role), like _args
+        for b in self.bindings:  # a .pa line binds its own element, once
+            if not self.has_element(b.target):
+                raise FieldError("E-BIND-DANGLE", f"sentence {self.sentence_id}, binding of {b.target}:"
+                                                  " target is not a declared element")
             key = _shared_key(b.target.pred_id, b.target.role)
-            found = by_target.get(key)
-            if found is None:
-                by_target[key] = b
-            else:
-                by_target[key] = (*found, b) if isinstance(found, tuple) else (found, b)
+            if key in by_target:
+                n = sum(c.target == b.target for c in self.bindings)
+                raise FieldError("E-BIND-MISSING", f"sentence {self.sentence_id}: element {b.target} has {n}"
+                                                   " bindings, expected exactly one")
+            by_target[key] = b
         object.__setattr__(self, "_bindings", by_target)
 
     @property
@@ -449,25 +472,19 @@ class MonolingualAnnotation:
         """Every declared element: predicates first, then arguments, each sorted."""
         return (*map(_shared_elem_ref, self._preds, repeat(None)), *starmap(_shared_elem_ref, self._args))
 
-    def bindings_for(self, ref: ElemRef) -> tuple[Binding, ...]:
-        found = self._bindings.get((ref.pred_id, ref.role), ())
-        return found if isinstance(found, tuple) else (found,)
-
     def binding_for(self, ref: ElemRef) -> Binding:
-        """The element's unique binding; validated data has exactly one."""
+        """The element's one binding."""
         found = self._bindings.get((ref.pred_id, ref.role))
         if found is None:
             raise ResolutionError(f"sentence {self.sentence_id}: no binding for {ref}")
-        return found[0] if isinstance(found, tuple) else found
+        return found
 
 
 def group_roles(annotations: Iterable[MonolingualAnnotation]) -> Iterator[tuple[str, str]]:
-    """(group, role) of every argument whose predicate is declared, in annotation order."""
+    """(group, role) of every argument, in annotation order."""
     for ann in annotations:
         for arg in ann.arguments:
-            pred = ann.predicate(arg.pred_id)
-            if pred is not None:
-                yield pred.group, arg.role
+            yield ann.predicate(arg.pred_id).group, arg.role
 
 
 @dataclass(frozen=True, slots=True)
@@ -516,6 +533,9 @@ class PairSet:
         _check_language(self.left_lang)
         _check_language(self.right_lang)
         pairs = sorted(self.pairs, key=attrgetter("left_sentence", "right_sentence"))
+        seen: set[tuple[str, str]] = set()
+        for pair in pairs:
+            seen.add(_pair_once(seen, pair.left_sentence, pair.right_sentence))
         object.__setattr__(self, "pairs", tuple(pairs))
 
     @cached_property
@@ -540,6 +560,8 @@ class TagRegistry:
     alignment_tags: frozenset[str] = DEFAULT_ALIGNMENT_TAGS
 
     def __post_init__(self):
+        if not (self.binding_tags and self.alignment_tags):  # a manifest tag line lists at least one tag
+            raise FieldError("E-MANIFEST-SYNTAX", "empty tag inventory")
         for tag in self.binding_tags | self.alignment_tags:
             _check_tag(tag)
 
@@ -573,7 +595,9 @@ class ParallelCorpus:
         object.__setattr__(self, "pair_sets", tuple(self.pair_sets))
         index = {}
         for lang, anns in banks.items():
+            seen: set[str] = set()
             for ann in anns:
+                seen.add(_sentence_once(seen, ann.sentence_id))
                 index[sentence_key(lang, ann.sentence_id)] = ann
         object.__setattr__(self, "_index", index)
 

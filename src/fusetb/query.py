@@ -78,7 +78,26 @@ class Query:
     filters: tuple[Filter, ...] = ()
 
     def __post_init__(self):
-        check_query(self)
+        """Check the keys and values of the filters, and the filters the command requires."""
+        allowed = FILTER_KEYS.get(self.command)
+        if allowed is None:
+            raise QueryError("E-Q-SYNTAX", f"unknown command {self.command!r}")
+        positive = set()
+        for f in self.filters:
+            if f.key not in allowed:
+                raise QueryError("E-Q-KEY", f"filter {f.key!r} is not valid for {self.command}")
+            if f.key == "kind" and f.value not in ("pred", "arg"):
+                raise QueryError("E-Q-KEY", f"kind must be pred or arg, got {f.value!r}")
+            if f.key == "voice" and f.value != "diverge":
+                raise QueryError("E-Q-KEY", f"voice supports only diverge, got {f.value!r}")
+            if not f.negated:
+                positive.add(f.key)
+        if self.command == "unaligned" and "kind" not in positive:
+            raise QueryError("E-Q-KEY", "unaligned requires kind=pred or kind=arg")
+        if self.command == "realizations" and not {"group", "role"} <= positive:
+            raise QueryError("E-Q-KEY", "realizations requires group= and role=")
+        if self.command == "frames" and not ({"lemma", "group"} & positive):
+            raise QueryError("E-Q-KEY", "frames requires lemma= or group=")
 
 
 def parse_query(text: str) -> Query:
@@ -98,31 +117,6 @@ def parse_query(text: str) -> Query:
             raise QueryError("E-Q-SYNTAX", f"empty value for {key}", pos)
         filters.append(Filter(key, op == "!=", value))
     return Query(command, tuple(filters))
-
-
-def check_query(query: Query) -> None:
-    """Validate keys/values and required filters for the command."""
-    allowed = FILTER_KEYS.get(query.command)
-    if allowed is None:
-        raise QueryError("E-Q-SYNTAX", f"unknown command {query.command!r}")
-    positive = set()
-    for f in query.filters:
-        if f.key not in allowed:
-            raise QueryError(
-                "E-Q-KEY", f"filter {f.key!r} is not valid for {query.command}"
-            )
-        if f.key == "kind" and f.value not in ("pred", "arg"):
-            raise QueryError("E-Q-KEY", f"kind must be pred or arg, got {f.value!r}")
-        if f.key == "voice" and f.value != "diverge":
-            raise QueryError("E-Q-KEY", f"voice supports only diverge, got {f.value!r}")
-        if not f.negated:
-            positive.add(f.key)
-    if query.command == "unaligned" and "kind" not in positive:
-        raise QueryError("E-Q-KEY", "unaligned requires kind=pred or kind=arg")
-    if query.command == "realizations" and not {"group", "role"} <= positive:
-        raise QueryError("E-Q-KEY", "realizations requires group= and role=")
-    if query.command == "frames" and not ({"lemma", "group"} & positive):
-        raise QueryError("E-Q-KEY", "frames requires lemma= or group=")
 
 
 def _compile(filters: tuple[Filter, ...], *keys: str):

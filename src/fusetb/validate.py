@@ -86,16 +86,10 @@ def validate_monolingual(
         where = sid if target is None else f"{sid}, binding of {target}"
         diags.append(Diagnostic.error(code, file, f"sentence {where}: {message}"))
 
-    for ref in annotation.element_refs():
-        n = len(annotation.bindings_for(ref))
-        if n != 1:
-            error("E-BIND-MISSING", f"element {ref} has {n} bindings, expected exactly one")
-    # only an element with exactly one binding has a yield; a binding with a dangling node has none
+    # each bound element's yield; None where a dangling node or the exclusions leave it none
     yields: dict[ElemRef, list[int] | None] = {}
     for binding in annotation.bindings:
         target, included, excluded = binding.target, binding.included, binding.excluded
-        if not annotation.has_element(target):
-            error("E-BIND-DANGLE", "target is not a declared element", target)
         if binding.tags and target.role is not None:
             error("E-TAG-ON-ARG", f"binding tags {sorted(binding.tags)} are only legal on predicates", target)
         dangling = [ref for ref in included | excluded if not tree.has_node(ref)]
@@ -115,12 +109,12 @@ def validate_monolingual(
                 found = resolve_yield(tree, binding)
             except EmptyYieldError:
                 error("E-YIELD-EMPTY", "empty binding yield", target)
-        yields[target] = None if target in yields else found
+        yields[target] = found
+    for ref in annotation.element_refs():
+        if ref not in yields:
+            error("E-BIND-MISSING", f"element {ref} has 0 bindings, expected exactly one")
     # recursion-freedom: an argument's yield may not overlap its predicate's
     for arg in annotation.arguments:
-        if annotation.predicate(arg.pred_id) is None:
-            error("E-BIND-DANGLE", f"argument {arg.pred_id}.{arg.role} owned by unknown predicate")
-            continue
         arg_yield = yields.get(ElemRef.of(arg.pred_id, arg.role))
         pred_yield = yields.get(ElemRef.of(arg.pred_id))
         if arg_yield and pred_yield:

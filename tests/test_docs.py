@@ -146,5 +146,7 @@ def _unresolved_names(text: str) -> list[str]:
 def test_readme_library_names_resolve():
     section = _README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     assert _unresolved_names(section) == []
-    removed = "`children_of`, `SentenceTree.children_of`, `node_refs`, `sort_elements` and `fusetb.model.is_ancestor`"
-    assert _unresolved_names(removed) == ["children_of", "SentenceTree.children_of", "node_refs", "sort_elements"]
+    removed = ("`children_of`, `SentenceTree.children_of`, `node_refs`, `sort_elements`, `bindings_for`"
+               " and `fusetb.model.is_ancestor`")
+    assert _unresolved_names(removed) == ["children_of", "SentenceTree.children_of", "node_refs", "sort_elements",
+                                          "bindings_for"]

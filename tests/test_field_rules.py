@@ -224,6 +224,22 @@ def _register_alignment_tag_bad(corpus):
     return None if corpus is None else dataclasses.replace(corpus, tag_registry=registry)
 
 
+def _drop_all_tags(corpus):
+    """corpus with no tag on a binding or alignment, and an empty tag inventory."""
+    corpus = _map_alignments(corpus, lambda pair, a: dataclasses.replace(a, tag=None))
+    treebanks = {lang: tuple(dataclasses.replace(ann, bindings=tuple(
+        dataclasses.replace(b, tags=frozenset()) for b in ann.bindings)) for ann in anns)
+        for lang, anns in corpus.treebanks.items()}
+    return dataclasses.replace(corpus, treebanks=treebanks, tag_registry=TagRegistry(frozenset(), frozenset()))
+
+
+def _drop_an_owner(ann):
+    """The fields of ann without the predicate of its first argument, nor that predicate's binding."""
+    owner = ann.arguments[0].pred_id
+    return {"predicates": tuple(p for p in ann.predicates if p.pred_id != owner),
+            "bindings": tuple(b for b in ann.bindings if b.target != ElemRef(owner))}
+
+
 def _swap_pair_set_languages(corpus):
     if not any(ps.pairs for ps in corpus.pair_sets):
         return None
@@ -268,6 +284,18 @@ EDITS = {
         "arguments": (*ann.arguments, ann.arguments[0])}),
     "tree columns as lists": _change_tree(lambda tree: True, lambda tree: {
         name: list(getattr(tree, name)) for name in ("tokens", "labels", "edges", "parents", "nt_ids")}),
+    # sentences and pairs declared once, and tag inventories a manifest can hold
+    "sentence declared twice": lambda corpus: dataclasses.replace(corpus, treebanks={
+        **corpus.treebanks, "en": (*corpus.treebanks["en"], corpus.treebanks["en"][0])}),
+    "pair declared twice": lambda corpus: dataclasses.replace(corpus, pair_sets=tuple(
+        dataclasses.replace(ps, pairs=(*ps.pairs, *ps.pairs[:1])) for ps in corpus.pair_sets)),
+    "empty tag inventory": _drop_all_tags,
+    # the binding rules: one binding per element, of a declared element, and an argument's predicate declared
+    "element bound twice": _edit_annotation(lambda ann: ann.bindings, lambda ann: {
+        "bindings": (*ann.bindings, ann.bindings[0])}),
+    "binding of an undeclared element": _edit_annotation(lambda ann: ann.bindings, lambda ann: {
+        "bindings": (*ann.bindings, Binding(ElemRef("undeclared"), ann.bindings[0].included))}),
+    "argument of an undeclared predicate": _edit_annotation(lambda ann: ann.arguments, _drop_an_owner),
 }
 
 
@@ -320,6 +348,11 @@ _PRED = Predicate("p1", "GIVE", "v", "GIVE")
     (lambda: MonolingualAnnotation(_TREE, (_PRED, _PRED)), "E-PRED-DUP", "duplicate predicate id p1"),
     (lambda: MonolingualAnnotation(_TREE, (_PRED,), (Argument("p1", "A"),) * 2), "E-ROLE-DUP",
      "duplicate role A for predicate p1"),
+    (lambda: MonolingualAnnotation(_TREE, (), (Argument("p1", "A"),)), "E-ORDER", "ARG before PRED line for p1"),
+    (lambda: ParallelCorpus({"en": (MonolingualAnnotation(_TREE),) * 2}), "E-SENT-DUP", "duplicate sentence id s1"),
+    (lambda: PairSet("en", "de", (SentencePairAlignment("en:s1", "de:s1"),) * 2), "E-PAIR-DUP",
+     "duplicate pair en:s1 de:s1"),
+    (lambda: TagRegistry(binding_tags=frozenset()), "E-MANIFEST-SYNTAX", "empty tag inventory"),
     (lambda: SentencePairAlignment("en:s1", "de:s 1"), "E-SYNTAX", "malformed sentence reference 'de:s 1'"),
     (lambda: split_sentence_key("en-s1"), "E-SYNTAX", "malformed sentence reference 'en-s1'"),
     (lambda: TagRegistry(frozenset({"pv", "Bad Tag"})), "E-SYNTAX", "malformed tag 'Bad Tag'"),

@@ -16,12 +16,12 @@ from fusetb.corpus import load_corpus
 from fusetb.model import (
     Binding,
     ElemRef,
+    FieldError,
     MonolingualAnnotation,
     NodeRef,
     Predicate,
     SentenceTree,
 )
-from fusetb.validate import validate_monolingual
 
 from .conftest import FIXTURES
 from .generators import node_refs, random_corpus, write_corpus_files
@@ -171,9 +171,8 @@ def test_element_refs_are_the_binding_targets(generated):
         checked = 0
         for ann in all_annotations(corpus):
             for ref in ann.element_refs():
-                if ann.bindings_for(ref):
-                    assert ref is ann.binding_for(ref).target
-                    checked += 1
+                assert ref is ann.binding_for(ref).target
+                checked += 1
         assert checked == sum(len(ann.bindings) for ann in all_annotations(corpus))
 
 
@@ -313,22 +312,18 @@ def test_equal_tag_sets_are_one_object(generated):
 def test_a_lone_binding_is_stored_bare(generated):
     for corpus in loaded_corpora(generated):
         for ann in all_annotations(corpus):
-            values = list(ann._bindings.values())
-            assert len(values) == len(ann.bindings)
-            assert not any(isinstance(v, tuple) and len(v) == 1 for v in values)
+            assert list(ann._bindings.values()) == list(ann.bindings)
 
 
 @pytest.mark.parametrize("copies", [2, 3])
-def test_every_duplicate_binding_is_kept(copies):
+def test_every_duplicate_binding_is_counted(copies):
     tree = SentenceTree("s1", ("a", "b"), ("NN", "NN"), (None, None), (0, 0))
     target = ElemRef.of("p1")
     binds = tuple(Binding(target, frozenset({NodeRef.parse(f"t{1 + i % 2}")})) for i in range(copies))
-    ann = MonolingualAnnotation(tree, (Predicate("p1", "GEBEN", "v", "GEBEN"),), (), binds)
-    assert ann.bindings_for(target) == binds
-    assert ann.binding_for(target) == binds[0]
-    assert [d.message for d in validate_monolingual(ann) if d.code == "E-BIND-MISSING"] == [
-        f"sentence s1: element p1 has {copies} bindings, expected exactly one"
-    ]
+    with pytest.raises(FieldError) as excinfo:
+        MonolingualAnnotation(tree, (Predicate("p1", "GEBEN", "v", "GEBEN"),), (), binds)
+    assert (excinfo.value.code, str(excinfo.value)) == (
+        "E-BIND-MISSING", f"sentence s1: element p1 has {copies} bindings, expected exactly one")
 
 
 # Measured 635 on this corpus (792 with a tuple per bound element and an instance

@@ -12,6 +12,7 @@ from fusetb.model import (
     Argument,
     Binding,
     ElemRef,
+    FieldError,
     MonolingualAnnotation,
     NodeRef,
     PairSet,
@@ -61,6 +62,13 @@ def error_codes(diags):
     return [d.code for d in diags if d.is_error]
 
 
+def rejection(build):
+    """(code, message) of the FieldError that build() raises."""
+    with pytest.raises(FieldError) as excinfo:
+        build()
+    return excinfo.value.code, str(excinfo.value)
+
+
 def test_valid_annotation_has_no_diagnostics():
     ann = annotation(
         (P1,),
@@ -83,8 +91,8 @@ def test_double_binding_is_reported_under_bind_missing():
         Binding(ElemRef("p1"), frozenset({ref("t4")})),
         Binding(ElemRef("p1"), frozenset({ref("t1")})),
     )
-    ann = annotation((P1,), (), binds)
-    assert error_codes(validate_monolingual(ann)) == ["E-BIND-MISSING"]
+    assert rejection(lambda: annotation((P1,), (), binds)) == (
+        "E-BIND-MISSING", "sentence s1: element p1 has 2 bindings, expected exactly one")
 
 
 def test_dangling_node():
@@ -97,8 +105,8 @@ def test_dangling_target():
         Binding(ElemRef("p1"), frozenset({ref("t4")})),
         Binding(ElemRef("p2"), frozenset({ref("t1")})),
     )
-    ann = annotation((P1,), (), binds)
-    assert error_codes(validate_monolingual(ann)) == ["E-BIND-DANGLE"]
+    assert rejection(lambda: annotation((P1,), (), binds)) == (
+        "E-BIND-DANGLE", "sentence s1, binding of p2: target is not a declared element")
 
 
 def test_excluded_not_descendant():
@@ -159,8 +167,8 @@ def test_recursion_fixed_by_exclusion():
     ],
 )
 def test_recursion_needs_exactly_one_binding_per_element(binds):
-    ann = annotation((P1,), (Argument("p1", "THEME"),), binds)
-    assert error_codes(validate_monolingual(ann)) == ["E-BIND-MISSING"]
+    code, message = rejection(lambda: annotation((P1,), (Argument("p1", "THEME"),), binds))
+    assert code == "E-BIND-MISSING" and message.endswith(" has 2 bindings, expected exactly one")
 
 
 def test_tag_on_argument_binding():
@@ -312,7 +320,7 @@ def test_binding_tag_and_alignment_tag_may_cooccur():
         left,
         bindings=(
             Binding(ElemRef("p1"), frozenset({ref("t4")}), tags=frozenset({"pv"})),
-            left.bindings_for(ElemRef("p1", "AGENT"))[0],
+            left.binding_for(ElemRef("p1", "AGENT")),
         ),
     )
     corpus = dataclasses.replace(corpus, treebanks={**corpus.treebanks, "en": (tagged,)})
@@ -402,10 +410,11 @@ def _drop_binding(ann, rng):
 
 
 def _double_binding(ann, rng):
+    """No fault: MonolingualAnnotation rejects a second binding of an element when it is built."""
     if ann.bindings:
         extra = rng.choice(ann.bindings)
-        mutated = dataclasses.replace(ann, bindings=(*ann.bindings, extra))
-        return mutated, "E-BIND-MISSING", f"element {extra.target} has 2 bindings"
+        code, message = rejection(lambda: dataclasses.replace(ann, bindings=(*ann.bindings, extra)))
+        assert code == "E-BIND-MISSING" and f"element {extra.target} has 2 bindings" in message
 
 
 def _retarget_outside_tree(ann, rng):
@@ -524,7 +533,7 @@ PAIR_FAULTS = (
 
 
 def test_seeded_faults_are_reported_and_named():
-    planted = {plant.__name__: 0 for plant in ANNOTATION_FAULTS + PAIR_FAULTS}
+    planted = {plant.__name__: 0 for plant in ANNOTATION_FAULTS + PAIR_FAULTS if plant is not _double_binding}
     for seed in range(40):
         rng = random.Random(seed)
         corpus = random_corpus(rng, max_sents=6)
@@ -567,11 +576,13 @@ def _bind_an_argument_over_its_predicate(ann, rng):
 
 
 def _drop_an_owner_predicate(ann, rng):
+    """No fault: MonolingualAnnotation rejects an argument of an undeclared predicate when it is built."""
     owners = sorted({a.pred_id for a in ann.arguments})
     if owners:
         pred_id = rng.choice(owners)
-        mutated = dataclasses.replace(ann, predicates=tuple(p for p in ann.predicates if p.pred_id != pred_id))
-        return mutated, "E-BIND-DANGLE", f"argument {pred_id}."
+        predicates = tuple(p for p in ann.predicates if p.pred_id != pred_id)
+        assert rejection(lambda: dataclasses.replace(ann, predicates=predicates)) == (
+            "E-ORDER", f"ARG before PRED line for {pred_id}")
 
 
 def _misspell_a_role(ann, rng):
