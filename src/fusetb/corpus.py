@@ -33,6 +33,8 @@ from .model import (
     TagRegistry,
     _check_language,
     _check_tag,
+    _languages_declared,
+    _some_language,
 )
 from .validate import _sorted_unique, validate_corpus
 
@@ -75,12 +77,9 @@ class Manifest:
     registry: TagRegistry = TagRegistry()
 
 
-def _checked(check, values: list[str], file: str, lineno: int) -> list[str]:
-    """values, once each passes check, a model field rule; its FieldError is E-MANIFEST-SYNTAX at lineno."""
-    try:
-        return [check(value) for value in values]
-    except FieldError as exc:
-        _err("E-MANIFEST-SYNTAX", file, lineno, str(exc))
+def _manifest_fault(exc: FieldError, file: str, lineno: int | None):
+    """A model rule's FieldError at lineno of a manifest or FUSE_TAGS file; a malformed tag is E-MANIFEST-SYNTAX."""
+    _err("E-MANIFEST-SYNTAX" if exc.code == "E-SYNTAX" else exc.code, file, lineno, str(exc))
 
 
 def parse_manifest(text: str, filename: str = "<string>") -> Manifest:
@@ -88,38 +87,36 @@ def parse_manifest(text: str, filename: str = "<string>") -> Manifest:
     languages: list[LanguageEntry] = []
     aligns: list[tuple[int, AlignEntry]] = []
     tags: dict[str, frozenset[str]] = {}
-    for lineno, line in _lines(text, filename, strict=False):
-        if not line.strip():
-            continue
-        fields = line.split()
-        directive = fields[0]
-        if directive == "LANG":
-            if len(fields) != 6 or fields[2] != "TREES" or fields[4] != "PREDARG":
-                _err("E-MANIFEST-SYNTAX", filename, lineno, "expected LANG <code> TREES <path> PREDARG <path>")
-            code = fields[1]
-            _checked(_check_language, [code], filename, lineno)
-            if any(entry.code == code for entry in languages):
-                _err("E-MANIFEST-DUP", filename, lineno, f"duplicate language {code}")
-            languages.append(LanguageEntry(code, fields[3], fields[5]))
-        elif directive == "ALIGN":
-            if len(fields) != 4:
-                _err("E-MANIFEST-SYNTAX", filename, lineno, "expected ALIGN <codeA> <codeB> <path>")
-            _checked(_check_language, fields[1:3], filename, lineno)
-            aligns.append((lineno, AlignEntry(fields[1], fields[2], fields[3])))
-        elif directive in _TAG_FIELDS:
-            if len(fields) != 2 or _TAG_FIELDS[directive] in tags:
-                _err("E-MANIFEST-SYNTAX", filename, lineno, f"malformed or repeated {directive} line")
-            tag_list = _checked(_check_tag, fields[1].split(","), filename, lineno)
-            tags[_TAG_FIELDS[directive]] = frozenset(tag_list)
-        else:
-            _err("E-MANIFEST-SYNTAX", filename, lineno, f"unknown directive {directive!r}")
-    if not languages:
-        _err("E-MANIFEST-SYNTAX", filename, None, "manifest declares no languages")
-    declared = {entry.code for entry in languages}
-    for lineno, entry in aligns:
-        for code in (entry.left_lang, entry.right_lang):
-            if code not in declared:
-                _err("E-MANIFEST-LANG", filename, lineno, f"ALIGN references undeclared language {code}")
+    try:  # a FieldError names the line lineno holds
+        for lineno, line in _lines(text, filename, strict=False):
+            if not line.strip():
+                continue
+            fields = line.split()
+            directive = fields[0]
+            if directive == "LANG":
+                if len(fields) != 6 or fields[2] != "TREES" or fields[4] != "PREDARG":
+                    _err("E-MANIFEST-SYNTAX", filename, lineno, "expected LANG <code> TREES <path> PREDARG <path>")
+                code = _check_language(fields[1])
+                if any(entry.code == code for entry in languages):
+                    _err("E-MANIFEST-DUP", filename, lineno, f"duplicate language {code}")
+                languages.append(LanguageEntry(code, fields[3], fields[5]))
+            elif directive == "ALIGN":
+                if len(fields) != 4:
+                    _err("E-MANIFEST-SYNTAX", filename, lineno, "expected ALIGN <codeA> <codeB> <path>")
+                aligns.append((lineno, AlignEntry(_check_language(fields[1]), _check_language(fields[2]), fields[3])))
+            elif directive in _TAG_FIELDS:
+                if len(fields) != 2 or _TAG_FIELDS[directive] in tags:
+                    _err("E-MANIFEST-SYNTAX", filename, lineno, f"malformed or repeated {directive} line")
+                tags[_TAG_FIELDS[directive]] = frozenset(map(_check_tag, fields[1].split(",")))
+            else:
+                _err("E-MANIFEST-SYNTAX", filename, lineno, f"unknown directive {directive!r}")
+        declared = {entry.code for entry in languages}
+        lineno = None  # the corpus rules ParallelCorpus checks; a missing language is at no line
+        _some_language(declared)
+        for lineno, entry in aligns:
+            _languages_declared(declared, entry.left_lang, entry.right_lang)
+    except FieldError as exc:
+        _manifest_fault(exc, filename, lineno)
     return Manifest(tuple(languages), tuple(entry for _, entry in aligns), TagRegistry(**tags))
 
 
@@ -149,7 +146,10 @@ def parse_tag_registry(text: str, filename: str = "<string>") -> TagRegistry:
         fields = line.split()
         if len(fields) != 2 or fields[0] not in _TAG_FIELDS:
             _err("E-MANIFEST-SYNTAX", filename, lineno, f"expected BINDTAGS or ALIGNTAGS line, got {line!r}")
-        tags[_TAG_FIELDS[fields[0]]] = frozenset(_checked(_check_tag, fields[1].split(","), filename, lineno))
+        try:
+            tags[_TAG_FIELDS[fields[0]]] = frozenset(map(_check_tag, fields[1].split(",")))
+        except FieldError as exc:
+            _manifest_fault(exc, filename, lineno)
     return TagRegistry(**tags)
 
 
@@ -240,14 +240,9 @@ def _load_corpus(
         known = {tree.sentence_id for tree in trees}
         diags += [Diagnostic.error("E-SENT-UNKNOWN", str(pa_path), f"sentence {sid} has annotations but no tree")
                   for sid in predarg if sid not in known]
-        annotations = []
         empty = PredArg()  # the default of a tree with no annotations, built once
-        for tree in trees:
-            pa = predarg.get(tree.sentence_id, empty)
-            annotations.append(
-                MonolingualAnnotation(tree, pa.predicates, pa.arguments, pa.bindings)
-            )
-        treebanks[entry.code] = tuple(annotations)
+        treebanks[entry.code] = tuple(MonolingualAnnotation(tree, pa.predicates, pa.arguments, pa.bindings)
+                                      for tree in trees for pa in (predarg.get(tree.sentence_id, empty),))
 
     pair_sets: list[PairSet] = []
     pair_files: list[str] = []

@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import repeat, starmap
 from operator import attrgetter, lt
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Container, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .corpus import Manifest
@@ -39,24 +39,6 @@ _LABEL_RE = re.compile(r"\S+")  # word forms and POS, category and edge labels: 
 EMPTY_FROZENSET: frozenset = frozenset()
 
 
-@lru_cache(maxsize=4096)
-def _shared_node_ref(kind: str, num: int) -> "NodeRef":
-    """One NodeRef per (kind, num); the fixed bound keeps unusual node numbering from growing it."""
-    return NodeRef(kind, num)
-
-
-@lru_cache(maxsize=4096)
-def _shared_elem_ref(pred_id: str, role: str | None) -> "ElemRef":
-    """One ElemRef per (pred_id, role); bounded like _shared_node_ref."""
-    return ElemRef(pred_id, role)
-
-
-@lru_cache(maxsize=4096)
-def _shared_key(pred_id: str, role: str | None) -> tuple[str, str | None]:
-    """One (pred_id, role) tuple per element, the key of the per-sentence indexes; bounded likewise."""
-    return (pred_id, role)
-
-
 class ResolutionError(LookupError):
     """An identifier (node, predicate, argument, sentence, language) does not resolve."""
 
@@ -75,8 +57,8 @@ class FieldError(ValueError):
 
 @lru_cache(maxsize=4096)  # names come from small inventories; each is checked once
 def is_uppercase_name(text: str) -> bool:
-    """True if text is a valid lemma/role/group name: uppercase letters, _ or -."""
-    if not text:
+    """True if text is a valid lemma/role/group name: uppercase letters, _ or -, in NFC as parsed files are."""
+    if not text or not unicodedata.is_normalized("NFC", text):
         return False
     return all(c in "_-" or unicodedata.category(c) == "Lu" for c in text)
 
@@ -119,6 +101,21 @@ def _check_edge(edge: str | None) -> str | None:
     return edge if edge is None else _match(_LABEL_RE, "E-SYNTAX", "empty or malformed edge field", edge)
 
 
+# The number rule: NodeRef and SentenceTree check their numbers with it; a parsed number passes it.
+def _writable(num: int) -> bool:
+    """True if str() writes num: like int(), it converts at most sys.get_int_max_str_digits() digits."""
+    try:
+        return bool(str(num))
+    except ValueError:
+        return False
+
+
+def _check_number(num: int, what: str, node: int | None = None, code: str = "E-SYNTAX") -> int:
+    if not _writable(num):  # the message does not format num, which str() cannot write
+        raise FieldError(code, f"{what} has more digits than a file can hold", node)
+    return num
+
+
 # The per-node tree rules: SentenceTree checks each node with them, and parse_trees each node at its line.
 def _check_parent(parent: int, node: int | None = None) -> int:
     if parent != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
@@ -158,6 +155,7 @@ class NodeRef:
     num: int
 
     def __post_init__(self):
+        _check_number(self.num, "node number", None, "E-REF-SYNTAX")
         if self.kind not in ("t", "n"):
             raise FieldError("E-REF-SYNTAX", f"malformed node reference {str(self)!r} (expected t<k> or n<id>)")
 
@@ -212,6 +210,13 @@ class ElemRef:
         return self.pred_id if self.role is None else f"{self.pred_id}.{self.role}"
 
 
+# One NodeRef per (kind, num), one ElemRef per (pred_id, role) and one (pred_id, role) tuple per element,
+# the key of the per-sentence indexes: a fixed bound keeps unusual numbering or naming from growing them.
+_shared_node_ref = lru_cache(maxsize=4096)(NodeRef)
+_shared_elem_ref = lru_cache(maxsize=4096)(ElemRef)
+_shared_key = lru_cache(maxsize=4096)(lambda pred_id, role: (pred_id, role))
+
+
 @dataclass(frozen=True, slots=True)
 class SentenceTree:
     """One sentence's constituent tree, stored as tuples of atoms.
@@ -246,11 +251,13 @@ class SentenceTree:
         if not n:
             raise FieldError("E-SYNTAX", f"sentence {sid} has no terminals")
         known, with_children = {VIRTUAL_ROOT, *nt_ids}, set(parents)
-        if not (all(map(lt, (MIN_NONTERMINAL_ID - 1, *nt_ids), nt_ids)) and known.issuperset(parents)):
+        # ids ascend, so when the last is writable every id is, and so is every known parent
+        if not (all(map(lt, (MIN_NONTERMINAL_ID - 1, *nt_ids), nt_ids)) and known.issuperset(parents)
+                and _writable(nt_ids[-1] if nt_ids else 0)):
             for k, parent in enumerate(parents):  # some node breaks a rule: find the first, in column order
-                _check_parent(parent, k)
+                _check_parent(_check_number(parent, "parent", k), k)
                 if k >= n:
-                    _check_nt_id(nt_ids[k - n], nt_ids[: k - n], k)
+                    _check_nt_id(_check_number(nt_ids[k - n], "nonterminal id", k), nt_ids[: k - n], k)
             k, parent = next((k, p) for k, p in enumerate(parents) if p not in known)  # so a parent is unknown
             node = f"token {k + 1}" if k < n else f"node {nt_ids[k - n]}"
             raise FieldError("E-PARENT-UNKNOWN", f"sentence {sid}: {node} attached to unknown node {parent}", k)
@@ -381,7 +388,8 @@ def resolve_yield(tree: SentenceTree, binding: Binding) -> list[int]:
 
 # The declared-once rules: the constructors below check their collections with them, and the
 # parsers each block or line against the ones before it: a sentence id once per treebank, a
-# sentence pair once per pair set, a predicate id once per sentence and a role once per predicate.
+# sentence pair once per pair set, a predicate id once per sentence and a role once per predicate;
+# and the corpus rules, which ParallelCorpus and parse_manifest check: a language, and each a pair set names.
 def _sentence_once(table: Container[str], sid: str) -> str:
     if sid in table:
         raise FieldError("E-SENT-DUP", f"duplicate sentence id {sid}")
@@ -392,6 +400,17 @@ def _pair_once(table: Container[tuple[str, str]], left: str, right: str) -> tupl
     if (left, right) in table:
         raise FieldError("E-PAIR-DUP", f"duplicate pair {left} {right}")
     return left, right
+
+
+def _some_language(languages: Collection[str]) -> None:
+    if not languages:
+        raise FieldError("E-MANIFEST-SYNTAX", "manifest declares no languages")
+
+
+def _languages_declared(languages: Container[str], *codes: str) -> None:
+    for code in codes:
+        if code not in languages:
+            raise FieldError("E-MANIFEST-LANG", f"ALIGN references undeclared language {code}")
 
 
 def _declared_once(table: Mapping, pred_id: str, role: str | None = None) -> str | tuple[str, str]:
@@ -588,11 +607,14 @@ class ParallelCorpus:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "pair_sets", tuple(self.pair_sets))
         for lang in self.treebanks:
             _check_language(lang)
+        _some_language(self.treebanks)
+        for pair_set in self.pair_sets:
+            _languages_declared(self.treebanks, pair_set.left_lang, pair_set.right_lang)
         banks = {lang: tuple(sorted(anns, key=attrgetter("sentence_id"))) for lang, anns in self.treebanks.items()}
         object.__setattr__(self, "treebanks", banks)
-        object.__setattr__(self, "pair_sets", tuple(self.pair_sets))
         index = {}
         for lang, anns in banks.items():
             seen: set[str] = set()

@@ -92,6 +92,30 @@ def test_parse_tag_registry_file():
     assert registry.alignment_tags == DEFAULT_ALIGNMENT_TAGS
 
 
+def test_a_tag_registry_file_keeps_the_last_of_a_repeated_line_and_a_manifest_rejects_it():
+    assert parse_tag_registry("BINDTAGS pv\nBINDTAGS imp\n").binding_tags == frozenset({"imp"})
+    assert parse_tag_registry("ALIGNTAGS incomp\nALIGNTAGS abs-opp\n").alignment_tags == frozenset({"abs-opp"})
+    with pytest.raises(ParseError) as excinfo:
+        parse_manifest("LANG en TREES a.tb PREDARG a.pa\nBINDTAGS pv\nBINDTAGS imp\n", "m")
+    assert excinfo.value.diagnostic.render() == "ERROR\tE-MANIFEST-SYNTAX\tm:3\tmalformed or repeated BINDTAGS line"
+
+
+@pytest.mark.parametrize("parse,text,rendered", [
+    (parse_manifest, "%% no LANG line\n", "ERROR\tE-MANIFEST-SYNTAX\tm\tmanifest declares no languages"),
+    (parse_manifest, "LANG en TREES a.tb PREDARG a.pa\nALIGN en en x.al\nALIGN en fr y.al\n",
+     "ERROR\tE-MANIFEST-LANG\tm:3\tALIGN references undeclared language fr"),
+    (parse_manifest, "LANG en TREES a.tb PREDARG a.pa\nALIGN en EN x.al\n",
+     "ERROR\tE-MANIFEST-SYNTAX\tm:2\tmalformed language code 'EN'"),
+    (parse_manifest, "LANG en TREES a.tb PREDARG a.pa\nBINDTAGS pv,Bad\n",
+     "ERROR\tE-MANIFEST-SYNTAX\tm:2\tmalformed tag 'Bad'"),
+    (parse_tag_registry, "BINDTAGS pv\nALIGNTAGS ,\n", "ERROR\tE-MANIFEST-SYNTAX\tm:2\tmalformed tag ''"),
+])
+def test_a_model_rule_is_reported_at_its_manifest_line(parse, text, rendered):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text, "m")
+    assert excinfo.value.diagnostic.render() == rendered
+
+
 def test_load_fixture_corpus(fixture_corpus):
     assert fixture_corpus.validated
     assert fixture_corpus.languages == ("de", "en")

@@ -22,6 +22,10 @@ _README_CODE_RE = re.compile(r"`([EW]-[A-Z][A-Z-]*[A-Z])`")
 _README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
 
 
+def _src_codes(module: str) -> set[str]:
+    return set(_SRC_CODE_RE.findall((REPO_ROOT / "src" / "fusetb" / module).read_text(encoding="utf-8")))
+
+
 def test_diagnostic_codes_match_readme():
     src = set()
     for path in sorted((REPO_ROOT / "src" / "fusetb").glob("*.py")):
@@ -31,8 +35,7 @@ def test_diagnostic_codes_match_readme():
     assert src - readme == set(), "codes used in src/ but not documented in README.md"
     assert readme - src == set(), "codes documented in README.md but not used in src/"
     # each code sits in the README part of the layer that raises it
-    validate_py = (REPO_ROOT / "src" / "fusetb" / "validate.py").read_text(encoding="utf-8")
-    validation = set(_SRC_CODE_RE.findall(validate_py))
+    validation = _src_codes("validate.py")
     section = _README.split("\n## Diagnostic codes\n", 1)[1].split("\n## ", 1)[0]
     parts = re.split(r"\n(?=Validation reports |Query errors )", section)
     assert [part.split()[0] for part in parts] == ["Parsing", "Validation", "Query"]
@@ -46,17 +49,27 @@ def test_diagnostic_codes_match_readme():
     }
 
 
-def test_rule_owner_table_names_only_parsing_codes():
+def _rule_owner_codes() -> set[str]:
+    """The codes named in the "code in a file" column of README's rule-owner table."""
     library = _README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
             for line in library.splitlines() if line.startswith("|") and not line.startswith("|---")]
     header, *body = next(rows[i:] for i, row in enumerate(rows) if "code in a file" in row)
     column = header.index("code in a file")
-    named = set(_README_CODE_RE.findall(" ".join(row[column] for row in body)))
+    return set(_README_CODE_RE.findall(" ".join(row[column] for row in body)))
+
+
+def test_rule_owner_table_names_only_parsing_codes():
+    named = _rule_owner_codes()
     diagnostics = _README.split("\n## Diagnostic codes\n", 1)[1]
     parsing = set(_README_CODE_RE.findall(diagnostics.split("\nValidation reports ", 1)[0]))
     assert {"E-TREE-CYCLE", "E-NT-EMPTY", "E-CASE"} <= named
     assert named - parsing == set(), "a rule-owner code a file gets is not in the Parsing table"
+
+
+def test_every_model_code_has_a_rule_owner_row():
+    """A rule moved into a constructor takes its code into the table, unless validation reports it too."""
+    assert _src_codes("model.py") - _src_codes("validate.py") - _rule_owner_codes() == set()
 
 
 def _command_line_examples() -> list[str]:

@@ -7,6 +7,8 @@ from __future__ import annotations
 import dataclasses
 import random
 from functools import lru_cache
+from itertools import product
+from operator import lt
 
 import pytest
 
@@ -31,6 +33,7 @@ from fusetb.model import (
 from fusetb.validate import validate_corpus
 
 from .generators import random_corpus, random_tree, unchecked_tree, write_corpus_files
+from .oracles import brute_is_tree
 
 SEEDS = range(6)
 
@@ -105,6 +108,14 @@ def _add_childless(tree, rng):
             "labels": (*tree.labels[:at], "NP", *tree.labels[at:]),
             "edges": (*tree.edges[:at], None, *tree.edges[at:]),
             "parents": (*tree.parents[:at], rng.choice((0, *tree.nt_ids)), *tree.parents[at:])}
+
+
+def _add_root(tree, node_id):
+    """A nonterminal node_id, last in column order, above the first node attached to the virtual root."""
+    parents = list(tree.parents)
+    parents[parents.index(0)] = node_id
+    return {"nt_ids": (*tree.nt_ids, node_id), "labels": (*tree.labels, "NP"), "edges": (*tree.edges, None),
+            "parents": (*parents, 0)}
 
 
 def _reid(tree, rng, new_id):
@@ -240,6 +251,14 @@ def _drop_an_owner(ann):
             "bindings": tuple(b for b in ann.bindings if b.target != ElemRef(owner))}
 
 
+def _bind_first_to(ref):
+    """The first binding of the first annotation with one also includes the node ref() builds."""
+    def edit(ann):
+        binding = dataclasses.replace(ann.bindings[0], included=ann.bindings[0].included | {ref()})
+        return {"bindings": (binding, *ann.bindings[1:])}
+    return _edit_annotation(lambda ann: ann.bindings, edit)
+
+
 def _swap_pair_set_languages(corpus):
     if not any(ps.pairs for ps in corpus.pair_sets):
         return None
@@ -296,6 +315,15 @@ EDITS = {
     "binding of an undeclared element": _edit_annotation(lambda ann: ann.bindings, lambda ann: {
         "bindings": (*ann.bindings, Binding(ElemRef("undeclared"), ann.bindings[0].included))}),
     "argument of an undeclared predicate": _edit_annotation(lambda ann: ann.arguments, _drop_an_owner),
+    # the corpus rules a manifest holds: a language, and every language a pair set names
+    "no language": lambda corpus: dataclasses.replace(corpus, treebanks={}, pair_sets=()),
+    "pair set over an undeclared language": lambda corpus: dataclasses.replace(
+        corpus, pair_sets=(*corpus.pair_sets, PairSet("en", "fr"))),
+    # names in NFC, and node numbers that str() can write
+    "lemma KELVIN SIGN + ISS": _edit_first_predicate(lemma="\u212aISS"),
+    "terminal parent 10**5000": _edit_tree(parents=10**5000),
+    "binding of node n10**5000": _bind_first_to(lambda: NodeRef("n", 10**5000)),
+    "nonterminal id 10**5000": _change_tree(lambda tree: True, lambda tree: _add_root(tree, 10**5000)),
 }
 
 
@@ -358,6 +386,19 @@ _PRED = Predicate("p1", "GIVE", "v", "GIVE")
     (lambda: TagRegistry(frozenset({"pv", "Bad Tag"})), "E-SYNTAX", "malformed tag 'Bad Tag'"),
     (lambda: PairSet("en", "DE"), "E-MANIFEST-SYNTAX", "malformed language code 'DE'"),
     (lambda: ParallelCorpus({"EN": ()}), "E-MANIFEST-SYNTAX", "malformed language code 'EN'"),
+    (lambda: ParallelCorpus({}), "E-MANIFEST-SYNTAX", "manifest declares no languages"),
+    (lambda: ParallelCorpus({"en": ()}, (PairSet("en", "fr"),)), "E-MANIFEST-LANG",
+     "ALIGN references undeclared language fr"),
+    (lambda: Predicate("p1", "\u212aISS", "v", "GIVE"), "E-CASE",
+     "lemma '\u212aISS' must be uppercase letters, _ or -"),
+    (lambda: ElemRef("p1", "\u212b"), "E-REF-SYNTAX", "malformed element reference 'p1.\u212b': bad role name"),
+    (lambda: NodeRef("n", 10**5000), "E-REF-SYNTAX", "node number has more digits than a file can hold"),
+    (lambda: SentenceTree("s1", ("a",), ("NN",), (None,), (10**5000,)), "E-SYNTAX",
+     "parent has more digits than a file can hold"),
+    (lambda: SentenceTree("s1", ("a",), ("NN", "NP"), (None, None), (-10**5000, 0), (-10**5000,)), "E-SYNTAX",
+     "parent has more digits than a file can hold"),
+    (lambda: SentenceTree("s1", ("a",), ("NN", "NP"), (None, None), (0, 0), (10**5000,)), "E-SYNTAX",
+     "nonterminal id has more digits than a file can hold"),
 ])
 def test_constructors_reject_what_the_file_grammar_rejects(build, code, message):
     with pytest.raises(FieldError) as excinfo:
@@ -406,4 +447,44 @@ def test_parse_trees_and_sentence_tree_report_a_tree_fault_alike():
         assert (diag.code, diag.message, diag.line) == (fault.code, str(fault), fault.node + 2), name
         codes.add(fault.code)
         trees += 1
+    assert codes == {"E-TREE-CYCLE", "E-PARENT-UNKNOWN", "E-NT-EMPTY", "E-NODE-ID-RANGE", "E-NODE-DUP", "E-SYNTAX"}
+
+
+def _built_tree(columns):
+    """The SentenceTree of columns, or its fault as (code, message, line of its node in a .tb block)."""
+    try:
+        return SentenceTree("s1", *columns)
+    except FieldError as fault:
+        return fault.code, str(fault), fault.node + 2
+
+
+def _parsed_tree(tree):
+    """The one tree parse_trees reads from tree's text, or its fault as (code, message, line)."""
+    try:
+        [parsed] = parse_trees(serialize_trees([tree]))
+        return parsed
+    except ParseError as exc:
+        return exc.diagnostic.code, exc.diagnostic.message, exc.diagnostic.line
+
+
+def test_every_small_tree_is_built_as_it_is_parsed():
+    """Every tree of 1-2 terminals and 0-2 nonterminals, ids drawn from {499, 500, 501} and parents
+    from {0, 499, 500, 501, 502, 7}: the constructor and the parser give one fault or one tree, and
+    brute_is_tree, which checks no id rule, agrees wherever the ids pass them."""
+    base = SentenceTree("s1", ("a",), ("NN",), (None,), (0,))
+    codes, trees = set(), 0
+    for n, n_nts in product((1, 2), (0, 1, 2)):
+        for nt_ids in product((499, 500, 501), repeat=n_nts):
+            ids_pass = all(map(lt, (499, *nt_ids), nt_ids))
+            for parents in product((0, 499, 500, 501, 502, 7), repeat=n + n_nts):
+                columns = (("a", "b")[:n], ("NN",) * n + ("NP",) * n_nts, (None,) * (n + n_nts), parents, nt_ids)
+                built = _built_tree(columns)
+                tree = unchecked_tree(base, **dict(zip(("tokens", "labels", "edges", "parents", "nt_ids"), columns)))
+                assert built == _parsed_tree(tree), columns
+                if isinstance(built, tuple):
+                    codes.add(built[0])
+                if ids_pass:
+                    assert brute_is_tree(tree) == isinstance(built, SentenceTree), columns
+                trees += 1
+    assert trees == 14406
     assert codes == {"E-TREE-CYCLE", "E-PARENT-UNKNOWN", "E-NT-EMPTY", "E-NODE-ID-RANGE", "E-NODE-DUP", "E-SYNTAX"}
