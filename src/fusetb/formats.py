@@ -26,11 +26,7 @@ from .model import (
     SentencePairAlignment,
     SentenceTree,
     TagRegistry,
-    _check_edge,
-    _check_form,
-    _check_label,
-    _check_nt_id,
-    _check_parent,
+    _check_nodes,
     _check_pred_id,
     _check_sentence_id,
     _check_tag,
@@ -144,19 +140,6 @@ def _shared_number(text: str) -> int | None:
         return None
 
 
-# One shared string per POS, category or edge label (small inventories), once the model's rule passes it.
-_shared_label = lru_cache(maxsize=4096)(_check_label)
-_shared_edge = lru_cache(maxsize=4096)(_check_edge)
-
-
-@lru_cache(maxsize=4096)
-def _shared_parent(text: str) -> int:
-    """One shared int per parent reference, once it is written in ASCII digits and the model's rule passes it."""
-    if _shared_number(text) is None:
-        raise FieldError("E-SYNTAX", f"malformed parent reference {text!r}")
-    return _check_parent(_shared_number(text))
-
-
 def _fail_after(lines, diagnostic: Diagnostic):
     """A cut-short block's data lines, then the framing fault that cut it short."""
     yield from lines
@@ -224,39 +207,48 @@ def _blocks(text: str, filename: str, header: str, n_fields: int, closer: str | 
 
 
 def parse_trees(text: str, filename: str = "<string>") -> list[SentenceTree]:
-    """Parse a .tb document into SentenceTrees, in file order; a tree rule's fault is at its node's line."""
+    """Parse a .tb document into SentenceTrees, in file order; a tree rule's fault is at its node's line.
+
+    The parser checks the line grammar only: four fields, the parent and #id in ASCII digits, and no
+    terminal line after a nonterminal line. Before a grammar or framing fault is reported, the model
+    checks the nodes read so far, so the first fault of a file is the first one reported."""
     trees: dict[str, SentenceTree] = {}  # by sentence id, in file order
-    shared_forms: dict[str, str] = {}  # one string per distinct form in this file
+    shared: dict[str, str] = {}  # one string per distinct form, label and edge in this file
     for (sid,), start, end, block in _blocks(text, filename, "#BOS", 1, "#EOS"):
-        lineno = start  # the line of the field a FieldError names
+        lineno = start  # the line of a FieldError that names no node
+        # one entry per node in column order (terminals, then nonterminals): node k is on lines[k]
+        lines, forms, nt_ids, labels, edges, parents = [], [], [], [], [], []
         try:
             _sentence_once(trees, _check_sentence_id(sid))
-            # one entry per node in column order (terminals, then nonterminals): node k is block[k]
-            forms, nt_ids, labels, edges, parents = [], [], [], [], []
-            for lineno, line in block:
-                fields = line.split("\t")
-                if len(fields) != 4:
-                    _err("E-SYNTAX", filename, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
-                name, label, edge, parent_text = fields
-                parents.append(_shared_parent(parent_text))
-                labels.append(_shared_label(label))
-                edges.append(None if edge == "--" else _shared_edge(edge))
-                if name.startswith("#"):
-                    node_id = _shared_number(name[1:])
-                    if node_id is None:
-                        _err("E-SYNTAX", filename, lineno, f"malformed nonterminal id {name!r}")
-                    nt_ids.append(_check_nt_id(node_id, nt_ids))
-                elif nt_ids:
-                    _err("E-SYNTAX", filename, lineno, "terminal line after nonterminal lines")
-                else:
-                    form = shared_forms.get(name)
-                    if form is None:
-                        form = shared_forms[name] = _check_form(name)
-                    forms.append(form)
-            lineno = end  # a tree rule's FieldError without a node: no terminals
+            try:
+                for lineno, line in block:
+                    lines.append(lineno)
+                    fields = line.split("\t")
+                    if len(fields) != 4:
+                        _err("E-SYNTAX", filename, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
+                    name, label, edge, parent_text = fields
+                    parent = _shared_number(parent_text)
+                    if parent is None:
+                        _err("E-SYNTAX", filename, lineno, f"malformed parent reference {parent_text!r}")
+                    parents.append(parent)
+                    labels.append(shared.setdefault(label, label))
+                    edges.append(None if edge == "--" else shared.setdefault(edge, edge))
+                    if name.startswith("#"):
+                        node_id = _shared_number(name[1:])
+                        if node_id is None:
+                            _err("E-SYNTAX", filename, lineno, f"malformed nonterminal id {name!r}")
+                        nt_ids.append(node_id)
+                    elif nt_ids:
+                        _err("E-SYNTAX", filename, lineno, "terminal line after nonterminal lines")
+                    else:
+                        forms.append(shared.setdefault(name, name))
+            except ParseError:  # a node's fault on a line before it, or before it on its line, comes first
+                _check_nodes(forms, labels, edges, parents, nt_ids)
+                raise
+            lineno = end  # a tree with no terminals
             trees[sid] = SentenceTree(sid, *map(tuple, (forms, labels, edges, parents, nt_ids)))
         except FieldError as exc:
-            _field_fault(exc, filename, lineno if exc.node is None else block[exc.node][0])
+            _field_fault(exc, filename, lineno if exc.node is None else lines[exc.node])
     return list(trees.values())
 
 
@@ -451,12 +443,10 @@ def parse_alignments(
                     _err("E-SYNTAX", filename, lineno, f"expected PALIGN or AALIGN line, got {line!r}")
                 kind = "pred" if fields[0] == "PALIGN" else "arg"
                 left_ref, right_ref = ElemRef.parse(fields[1]), ElemRef.parse(fields[2])
-                tag = None
-                if len(fields) == 4:
-                    tag = _check_tag(_split_kv(fields[3:], ("tag",), filename, lineno)["tag"])
-                    if tag not in registry.alignment_tags:
-                        _err("E-TAG-UNKNOWN", filename, lineno, f"unknown alignment tag {tag!r}")
-                alignments.append(Alignment(kind, left_ref, right_ref, tag))
+                tag = _split_kv(fields[3:], ("tag",), filename, lineno)["tag"] if len(fields) == 4 else None
+                alignments.append(Alignment(kind, left_ref, right_ref, tag))  # the tag's shape, then the registry
+                if tag is not None and tag not in registry.alignment_tags:
+                    _err("E-TAG-UNKNOWN", filename, lineno, f"unknown alignment tag {tag!r}")
         except FieldError as exc:
             _field_fault(exc, filename, lineno)
         pairs.append(SentencePairAlignment(left, right, tuple(alignments)))

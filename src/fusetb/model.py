@@ -110,33 +110,47 @@ def _writable(num: int) -> bool:
         return False
 
 
-def _check_number(num: int, what: str, node: int | None = None, code: str = "E-SYNTAX") -> int:
+def _check_number(num: int, what: str, code: str = "E-SYNTAX") -> int:
+    if type(num) is not int:  # a bool or a float equals an id, but str() writes it otherwise
+        raise FieldError(code, f"{what} must be an int, not {type(num).__name__}")
     if not _writable(num):  # the message does not format num, which str() cannot write
-        raise FieldError(code, f"{what} has more digits than a file can hold", node)
+        raise FieldError(code, f"{what} has more digits than a file can hold")
     return num
 
 
-# The per-node tree rules: SentenceTree checks each node with them, and parse_trees each node at its line.
-def _check_parent(parent: int, node: int | None = None) -> int:
-    if parent != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
-        raise FieldError("E-SYNTAX", f"parent must be 0 or a nonterminal id, got {parent}", node)
-    return parent
-
-
-def _check_nt_id(node_id: int, before: Sequence[int], node: int | None = None) -> int:
-    if node_id < MIN_NONTERMINAL_ID:
-        raise FieldError("E-NODE-ID-RANGE", f"nonterminal id {node_id} below {MIN_NONTERMINAL_ID}", node)
-    if node_id in before:
-        raise FieldError("E-NODE-DUP", f"duplicate nonterminal id {node_id}", node)
-    if before and node_id < before[-1]:
-        raise FieldError("E-SYNTAX", "nonterminal ids must be ascending", node)
-    return node_id
-
-
-# The rules of a tree's forms, labels and edges, and the values that passed each, so that a
-# tree whose values all did costs three C-level superset tests; a set past 4096 is emptied.
-_COLUMN_RULES = (_check_form, _check_label, _check_edge)
+# The forms, labels and edges that passed their rules, so that a tree whose values all did
+# costs three C-level superset tests; a set past 4096 is emptied.
 _PASSED: tuple[set, set, set] = (set(), set(), set())
+
+
+def _check_nodes(tokens: Sequence[str], labels: Sequence[str], edges: Sequence[str | None],
+                 parents: Sequence[int], nt_ids: Sequence[int]) -> None:
+    """The per-node tree rules, node by node in column order, each in the order a .tb line gives the
+    fields: parent, label, edge, then the form or nonterminal id, which the last node of a block that
+    parse_trees read up to a fault may lack. A fault names its node; the values that passed are kept."""
+    n = len(tokens)
+    for k, (parent, label, edge) in enumerate(zip(parents, labels, edges)):
+        try:
+            if _check_number(parent, "parent") != VIRTUAL_ROOT and parent < MIN_NONTERMINAL_ID:
+                raise FieldError("E-SYNTAX", f"parent must be 0 or a nonterminal id, got {parent}")
+            _check_label(label)
+            _check_edge(edge)
+            if k < n:
+                _check_form(tokens[k])
+            elif k - n < len(nt_ids):
+                node_id, before = _check_number(nt_ids[k - n], "nonterminal id"), nt_ids[: k - n]
+                if node_id < MIN_NONTERMINAL_ID:
+                    raise FieldError("E-NODE-ID-RANGE", f"nonterminal id {node_id} below {MIN_NONTERMINAL_ID}")
+                if before and node_id <= before[-1]:  # the ids before it ascend
+                    raise (FieldError("E-NODE-DUP", f"duplicate nonterminal id {node_id}") if node_id in before
+                           else FieldError("E-SYNTAX", "nonterminal ids must be ascending"))
+        except FieldError as exc:
+            exc.node = k
+            raise
+    for passed, values in zip(_PASSED, (tokens, labels, edges)):
+        if len(passed) > 4096:
+            passed.clear()
+        passed.update(values)
 
 
 def split_sentence_key(key: str) -> tuple[str, str]:
@@ -155,7 +169,7 @@ class NodeRef:
     num: int
 
     def __post_init__(self):
-        _check_number(self.num, "node number", None, "E-REF-SYNTAX")
+        _check_number(self.num, "node number", "E-REF-SYNTAX")
         if self.kind not in ("t", "n"):
             raise FieldError("E-REF-SYNTAX", f"malformed node reference {str(self)!r} (expected t<k> or n<id>)")
 
@@ -225,7 +239,8 @@ class SentenceTree:
     the n terminals in surface order, then the nonterminals in the order of `nt_ids`, which ascend.
     A label is a POS for a terminal and a category for a nonterminal; an absent edge is None; a
     parent is a nonterminal id or the virtual root (0). There is no stored child index: yields are
-    read from `parents` on each call. The constructor checks the field rules, then the tree rules.
+    read from `parents` on each call. The constructor checks the sentence id, one entry per node,
+    each node's rules (_check_nodes), a terminal, known parents, no cycle and no childless nonterminal.
     """
 
     sentence_id: str
@@ -239,26 +254,20 @@ class SentenceTree:
         for name in ("tokens", "labels", "edges", "parents", "nt_ids"):  # tuples, whatever they were given as
             object.__setattr__(self, name, tuple(getattr(self, name)))
         _check_sentence_id(self.sentence_id)
-        columns = (self.tokens, self.labels, self.edges)
-        if not all(map(set.issuperset, _PASSED, columns)):
-            for check, passed, values in zip(_COLUMN_RULES, _PASSED, columns):
-                if len(passed) > 4096:
-                    passed.clear()
-                passed.update(map(check, values))
         sid, n, nt_ids, parents = self.sentence_id, len(self.tokens), self.nt_ids, self.parents
         if not len(self.labels) == len(self.edges) == len(parents) == n + len(nt_ids):
             raise FieldError("E-SYNTAX", f"sentence {sid}: labels, edges and parents need one entry per node")
-        if not n:
-            raise FieldError("E-SYNTAX", f"sentence {sid} has no terminals")
         known, with_children = {VIRTUAL_ROOT, *nt_ids}, set(parents)
         # ids ascend, so when the last is writable every id is, and so is every known parent
-        if not (all(map(lt, (MIN_NONTERMINAL_ID - 1, *nt_ids), nt_ids)) and known.issuperset(parents)
+        if not (all(map(set.issuperset, _PASSED, (self.tokens, self.labels, self.edges)))
+                and {int}.issuperset(map(type, parents + nt_ids)) and known.issuperset(parents)
+                and all(map(lt, (MIN_NONTERMINAL_ID - 1, *nt_ids), nt_ids))
                 and _writable(nt_ids[-1] if nt_ids else 0)):
-            for k, parent in enumerate(parents):  # some node breaks a rule: find the first, in column order
-                _check_parent(_check_number(parent, "parent", k), k)
-                if k >= n:
-                    _check_nt_id(_check_number(nt_ids[k - n], "nonterminal id", k), nt_ids[: k - n], k)
-            k, parent = next((k, p) for k, p in enumerate(parents) if p not in known)  # so a parent is unknown
+            _check_nodes(self.tokens, self.labels, self.edges, parents, nt_ids)
+        if not n:
+            raise FieldError("E-SYNTAX", f"sentence {sid} has no terminals")
+        if not known.issuperset(parents):
+            k, parent = next((k, p) for k, p in enumerate(parents) if p not in known)
             node = f"token {k + 1}" if k < n else f"node {nt_ids[k - n]}"
             raise FieldError("E-PARENT-UNKNOWN", f"sentence {sid}: {node} attached to unknown node {parent}", k)
         parent_of, cleared = dict(zip(nt_ids, parents[n:])), {VIRTUAL_ROOT}

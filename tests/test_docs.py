@@ -72,6 +72,13 @@ def test_every_model_code_has_a_rule_owner_row():
     assert _src_codes("model.py") - _src_codes("validate.py") - _rule_owner_codes() == set()
 
 
+def test_tree_node_rules_have_one_owner():
+    """SentenceTree alone runs a node's rules: parse_trees checks the line grammar only."""
+    formats = (REPO_ROOT / "src" / "fusetb" / "formats.py").read_text(encoding="utf-8")
+    node_rules = {"_check_parent", "_check_nt_id", "_check_form", "_check_label", "_check_edge"}
+    assert node_rules & set(re.findall(r"\w+", formats)) == set()
+
+
 def _command_line_examples() -> list[str]:
     section = _README.split("\n## Command line\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]

@@ -324,6 +324,15 @@ EDITS = {
     "terminal parent 10**5000": _edit_tree(parents=10**5000),
     "binding of node n10**5000": _bind_first_to(lambda: NodeRef("n", 10**5000)),
     "nonterminal id 10**5000": _change_tree(lambda tree: True, lambda tree: _add_root(tree, 10**5000)),
+    # node numbers of another type than int, which compare equal to an id but are written otherwise
+    "parents as floats": _change_tree(lambda tree: tree.nt_ids, lambda tree: {
+        "parents": tuple(map(float, tree.parents))}),
+    "root parent False": _change_tree(lambda tree: True, lambda tree: {
+        "parents": tuple(False if parent == 0 else parent for parent in tree.parents)}),
+    "nonterminal ids as floats": _change_tree(lambda tree: tree.nt_ids, lambda tree: {
+        "nt_ids": tuple(map(float, tree.nt_ids))}),
+    "binding of node tTrue": _bind_first_to(lambda: NodeRef("t", True)),
+    "binding of node n503.0": _bind_first_to(lambda: NodeRef("n", 503.0)),
 }
 
 
@@ -399,6 +408,15 @@ _PRED = Predicate("p1", "GIVE", "v", "GIVE")
      "parent has more digits than a file can hold"),
     (lambda: SentenceTree("s1", ("a",), ("NN", "NP"), (None, None), (0, 0), (10**5000,)), "E-SYNTAX",
      "nonterminal id has more digits than a file can hold"),
+    (lambda: SentenceTree("s1", ("a",), ("NN", "NP"), (None, None), (503.0, 0), (503,)), "E-SYNTAX",
+     "parent must be an int, not float"),
+    (lambda: SentenceTree("s1", ("a",), ("NN",), (None,), (False,)), "E-SYNTAX", "parent must be an int, not bool"),
+    (lambda: SentenceTree("s1", ("a",), ("NN", "NP"), (None, None), (501, 0), (501.0,)), "E-SYNTAX",
+     "nonterminal id must be an int, not float"),
+    (lambda: NodeRef("t", True), "E-REF-SYNTAX", "node number must be an int, not bool"),
+    (lambda: NodeRef("n", 503.0), "E-REF-SYNTAX", "node number must be an int, not float"),
+    (lambda: SentenceTree("s1", ("a",), ("NN",), (None,), ("0",)), "E-SYNTAX", "parent must be an int, not str"),
+    (lambda: NodeRef("t", "1"), "E-REF-SYNTAX", "node number must be an int, not str"),
 ])
 def test_constructors_reject_what_the_file_grammar_rejects(build, code, message):
     with pytest.raises(FieldError) as excinfo:
@@ -416,6 +434,21 @@ def test_a_field_error_is_reported_at_the_line_of_its_field(parse, text, line):
     with pytest.raises(ParseError) as excinfo:
         parse(text)
     assert excinfo.value.diagnostic.line == line
+
+
+# A node's rules run before a fault of the line grammar or the framing after them, line by line
+# and, within a line, in the order of its fields: parent, label, edge, then the form or #id.
+@pytest.mark.parametrize("text,line,message", [
+    ("#BOS s1\na\t\t--\t0\nb\tNN\t0\n#EOS s1\n", 2, "empty or malformed label field"),
+    ("#BOS s1\na\t\t--\t0\nb\tNN\t--\t0\n", 2, "empty or malformed label field"),
+    ("#BOS s1\na\tNN\t--\t7\nb\t\t--\t0\n#EOS s1\n", 2, "parent must be 0 or a nonterminal id, got 7"),
+    ("#BOS s1\na\tNN\t--\t501\n#501\t\t--\t7\n#EOS s1\n", 3, "parent must be 0 or a nonterminal id, got 7"),
+    ("#BOS s1\na\tNN\t--\t0\n#abc\t\t--\t0\n#EOS s1\n", 3, "empty or malformed label field"),
+])
+def test_a_node_fault_before_a_grammar_fault_is_reported_first(text, line, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_trees(text)
+    assert (excinfo.value.diagnostic.line, excinfo.value.diagnostic.message) == (line, message)
 
 
 # (name, the fewest nonterminals it needs, planter(tree, rng) -> changed columns)
